@@ -23,15 +23,14 @@ from .codes import (
 )
 from .decoders import (
     DecodeOutcome,
-    bp_constraint_message,
     bp_decode,
-    bp_variable_update,
     epsilon_star,
     majority_vote_decode,
     mle_decode,
 )
 from .errors import (
     CapacityError,
+    ConfigError,
     DegenerateSizeError,
     DimensionError,
     InconsistentEvidenceError,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .factor_graph import (
     FactorGraph,
-    adjacency,
     enumerate_codewords,
     gf2_rank,
     hamming_7_4,

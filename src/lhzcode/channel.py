@@ -7,8 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import as_bits
+from .errors import ConfigError
 
-__all__ = ["NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
+__all__ = ["check_epsilon", "NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The one flip-probability rule: epsilon must lie in [0, 1/2]."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ConfigError(f"epsilon must lie in [0, 1/2], got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -18,8 +25,7 @@ class NoiseModel:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must lie in [0, 1/2], got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
 
 def stream(master_seed: int, *subkeys: int) -> np.random.Generator:

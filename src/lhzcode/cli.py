@@ -12,7 +12,6 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import dataclass
 
 from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
@@ -23,14 +22,13 @@ from .sim import (
     DECODER_IDS,
     GRAPH_KINDS,
     SimConfig,
-    SimResult,
     chernoff_bound,
     graph_for,
     run_sweep,
     union_bound,
 )
 
-__all__ = ["OUTPUT_COLUMNS", "OutputRow", "main", "build_parser"]
+__all__ = ["OUTPUT_COLUMNS", "main", "build_parser"]
 
 OUTPUT_COLUMNS = (
     "decoder",
@@ -46,100 +44,27 @@ OUTPUT_COLUMNS = (
     "union_bound",
     "seed",
 )
+_BOUND_COLUMNS = ("n", "epsilon", "eps_star", "chernoff", "union_bound")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-@dataclass(frozen=True)
-class OutputRow:
-    """One emitted row, in the pinned column order."""
+def _emit(rows, columns, fmt, stream_) -> None:
+    """Write row dicts in the given column order, floats at %.6g.
 
-    decoder: str
-    graph: str
-    n: int
-    epsilon: float
-    iterations: int
-    trials: int
-    failures: int
-    p_fail: float
-    stderr: float
-    chernoff: float
-    union_bound: float
-    seed: int
-
-    @classmethod
-    def from_result(cls, r: SimResult) -> "OutputRow":
-        return cls(
-            decoder=r.decoder,
-            graph=r.graph,
-            n=r.n,
-            epsilon=r.epsilon,
-            iterations=r.iterations,
-            trials=r.trials,
-            failures=r.failures,
-            p_fail=r.p_fail,
-            stderr=r.stderr,
-            chernoff=r.chernoff,
-            union_bound=r.union_bound,
-            seed=r.seed,
-        )
-
-    def csv_line(self) -> str:
-        return ",".join(
-            (
-                self.decoder,
-                self.graph,
-                str(self.n),
-                _fmt(self.epsilon),
-                str(self.iterations),
-                str(self.trials),
-                str(self.failures),
-                _fmt(self.p_fail),
-                _fmt(self.stderr),
-                _fmt(self.chernoff),
-                _fmt(self.union_bound),
-                str(self.seed),
-            )
-        )
-
-    @classmethod
-    def from_csv_line(cls, line: str) -> "OutputRow":
-        f = line.rstrip("\n").split(",")
-        if len(f) != len(OUTPUT_COLUMNS):
-            raise ValueError(f"expected {len(OUTPUT_COLUMNS)} fields, got {len(f)}")
-        return cls(
-            decoder=f[0],
-            graph=f[1],
-            n=int(f[2]),
-            epsilon=float(f[3]),
-            iterations=int(f[4]),
-            trials=int(f[5]),
-            failures=int(f[6]),
-            p_fail=float(f[7]),
-            stderr=float(f[8]),
-            chernoff=float(f[9]),
-            union_bound=float(f[10]),
-            seed=int(f[11]),
-        )
-
-    def json_line(self) -> str:
-        obj = {
-            "decoder": self.decoder,
-            "graph": self.graph,
-            "n": self.n,
-            "epsilon": float(_fmt(self.epsilon)),
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "failures": self.failures,
-            "p_fail": float(_fmt(self.p_fail)),
-            "stderr": float(_fmt(self.stderr)),
-            "chernoff": float(_fmt(self.chernoff)),
-            "union_bound": float(_fmt(self.union_bound)),
-            "seed": self.seed,
-        }
-        return json.dumps(obj)
+    csv puts a header line first; jsonl writes one object per row.
+    """
+    if fmt == "csv":
+        print(",".join(columns), file=stream_)
+        for row in rows:
+            cells = (_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns)
+            print(",".join(cells), file=stream_)
+    else:
+        for row in rows:
+            obj = {c: float(_fmt(row[c])) if isinstance(row[c], float) else row[c] for c in columns}
+            print(json.dumps(obj), file=stream_)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,8 +184,6 @@ def cmd_decode(args) -> int:
     n = num_logical(word.size)
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match word length {word.size} (implies n={n})")
-    if not 0.0 <= args.eps <= 0.5:
-        raise ValueError(f"--eps must lie in [0, 1/2], got {args.eps}")
     model = NoiseModel(args.eps)
     if args.decoder == "majority":
         out = majority_vote_decode(word, include_direct=args.include_direct)
@@ -293,8 +216,6 @@ def cmd_simulate(args) -> int:
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed: {seed}", file=sys.stderr)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be positive, got {args.threads}")
     config = SimConfig(
         n_values=_parse_int_list(args.n),
         eps_values=_parse_float_list(args.eps),
@@ -309,15 +230,10 @@ def cmd_simulate(args) -> int:
         shared_noise=args.shared_noise,
     )
     sweep = run_sweep(config, threads=args.threads)
+    rows = [{c: getattr(r, c) for c in OUTPUT_COLUMNS} for r in sweep.rows]
     stream_, close = _open_out(args.out)
     try:
-        if args.format == "csv":
-            print(",".join(OUTPUT_COLUMNS), file=stream_)
-            for r in sweep.rows:
-                print(OutputRow.from_result(r).csv_line(), file=stream_)
-        else:
-            for r in sweep.rows:
-                print(OutputRow.from_result(r).json_line(), file=stream_)
+        _emit(rows, OUTPUT_COLUMNS, args.format, stream_)
     finally:
         if close:
             stream_.close()
@@ -327,39 +243,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    ns = _parse_int_list(args.n)
-    eps = _parse_float_list(args.eps)
-    for n in ns:
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
-    for e in eps:
-        if not 0.0 <= e <= 0.5:
-            raise ValueError(f"--eps must lie in [0, 1/2], got {e}")
+    # Every row is computed before any output, so a bad value prints nothing.
+    ns, eps = _parse_int_list(args.n), _parse_float_list(args.eps)
+    rows = [
+        {
+            "n": n,
+            "epsilon": e,
+            "eps_star": epsilon_star(e),
+            "chernoff": chernoff_bound(n, e),
+            "union_bound": union_bound(n, e),
+        }
+        for n in ns
+        for e in eps
+    ]
     stream_, close = _open_out(args.out)
     try:
-        if args.format == "csv":
-            print("n,epsilon,eps_star,chernoff,union_bound", file=stream_)
-            for n in ns:
-                for e in eps:
-                    print(
-                        f"{n},{_fmt(e)},{_fmt(epsilon_star(e))},{_fmt(chernoff_bound(n, e))},{_fmt(union_bound(n, e))}",
-                        file=stream_,
-                    )
-        else:
-            for n in ns:
-                for e in eps:
-                    print(
-                        json.dumps(
-                            {
-                                "n": n,
-                                "epsilon": float(_fmt(e)),
-                                "eps_star": float(_fmt(epsilon_star(e))),
-                                "chernoff": float(_fmt(chernoff_bound(n, e))),
-                                "union_bound": float(_fmt(union_bound(n, e))),
-                            }
-                        ),
-                        file=stream_,
-                    )
+        _emit(rows, _BOUND_COLUMNS, args.format, stream_)
     finally:
         if close:
             stream_.close()

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import NoiseModel, channel_prior
+from .channel import NoiseModel, check_epsilon
 from .codes import (
     as_bits,
     consecutive_indices,
@@ -31,7 +31,7 @@ from .codes import (
     num_pairs,
     pair_index,
 )
-from .errors import CapacityError, DimensionError, InconsistentEvidenceError
+from .errors import CapacityError, ConfigError, DimensionError, InconsistentEvidenceError
 from .factor_graph import FactorGraph
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "MLE_MAX_LOGICAL",
     "epsilon_star",
     "majority_vote_decode",
-    "bp_constraint_message",
-    "bp_variable_update",
     "bp_decode",
     "mle_decode",
 ]
@@ -75,8 +73,7 @@ class DecodeOutcome:
 
 def epsilon_star(epsilon: float) -> float:
     """Flip probability of a parity of two bits: 2 eps (1 - eps)."""
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
+    check_epsilon(epsilon)
     return 2.0 * epsilon * (1.0 - epsilon)
 
 
@@ -112,7 +109,7 @@ def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarr
     return np.where(2 * ones > total, 1, np.where(2 * ones < total, 0, observed)).astype(np.uint8)
 
 
-def majority_vote_decode(g_obs, include_direct: bool = False) -> DecodeOutcome:
+def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcome:
     """Decode each consecutive pair by majority over its indirect parity votes.
 
     Target (i, i+1) collects the n-2 votes g_ik xor g_(i+1,k), one per k
@@ -129,32 +126,6 @@ def majority_vote_decode(g_obs, include_direct: bool = False) -> DecodeOutcome:
 
 
 # ---------------------------------------------------------- message passing
-
-def bp_constraint_message(neighbor_beliefs) -> np.ndarray:
-    """An even-parity check's message to one neighbor, from the others' beliefs.
-
-    Convolution of the inputs under xor: the outgoing p0 is the probability
-    the other neighbors have even total parity. Empty input means an
-    unconstrained (certain-zero-parity) message (1, 0).
-    """
-    even, odd = 1.0, 0.0
-    for p in neighbor_beliefs:
-        p0, p1 = float(p[0]), float(p[1])
-        even, odd = even * p0 + odd * p1, even * p1 + odd * p0
-    return np.array([even, odd])
-
-
-def bp_variable_update(prior, incoming) -> np.ndarray:
-    """Posterior belief of one variable: prior times all incoming, renormalized."""
-    p0, p1 = float(prior[0]), float(prior[1])
-    for m in incoming:
-        p0 *= float(m[0])
-        p1 *= float(m[1])
-    tot = p0 + p1
-    if tot == 0.0:
-        raise InconsistentEvidenceError("incoming messages cancel all probability mass")
-    return np.array([p0 / tot, p1 / tot])
-
 
 class _BpLayout(NamedTuple):
     groups: tuple[tuple[int, np.ndarray], ...]  # (slot offset, (n_checks, weight) var indices)
@@ -227,10 +198,12 @@ def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, observed)).astype(np.uint8)
 
 
-# Iterated beliefs are clamped one ulp inside (0, 1). Saturation then never
-# manufactures exactly-hard messages, so cancelled mass can only come from
-# genuinely contradictory hard priors.
+# Iterated beliefs are clamped one ulp inside (0, 1), and extrinsic biases to
+# the matching bound on d = 2 p0 - 1. Saturation then never manufactures
+# exactly-hard messages, so cancelled mass can only come from genuinely
+# contradictory hard priors.
 _CLAMP = 2.0 ** -53
+_BIAS_MAX = 1.0 - 2.0 * _CLAMP
 
 
 def _bp_batch(
@@ -247,8 +220,6 @@ def _bp_batch(
     still changed anything. Variable-side products run in log space so
     high-degree graphs cannot underflow.
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES}")
     layout = _bp_layout(graph)
     t = p0.shape[0]
     p0 = p0.astype(np.float64, copy=True)
@@ -298,7 +269,7 @@ def _bp_batch(
             m = np.maximum(le0, le1)
             a = np.exp(le0 - m)
             b = np.exp(le1 - m)
-            mu_d[:, layout.adj] = (a - b) / (a + b)
+            mu_d[:, layout.adj] = np.clip((a - b) / (a + b), -_BIAS_MAX, _BIAS_MAX)
         hard = _hard(p0, observed)
         converged = (hard == hard_prev).all(axis=1)
         hard_prev = hard
@@ -333,7 +304,9 @@ def bp_decode(
     if not np.allclose(priors.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("each prior row must sum to 1")
     if iterations < 1:
-        raise ValueError(f"iterations must be positive, got {iterations}")
+        raise ConfigError(f"iterations must be positive, got {iterations}")
+    if schedule not in SCHEDULES:
+        raise ConfigError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES}")
     p0 = priors[:, 0][None, :]
     if observed is None:
         obs = (priors[:, 0] < 0.5).astype(np.uint8)[None, :]

@@ -9,6 +9,10 @@ class InvalidPairError(LhzError, ValueError):
     """Pair (i, j) outside 1 <= i < j <= n, or a linear index out of range."""
 
 
+class ConfigError(LhzError, ValueError):
+    """A setting outside its domain: size, epsilon, decoder, graph, schedule, counts."""
+
+
 class DimensionError(LhzError, ValueError):
     """A word length that does not match the expected layout."""
 

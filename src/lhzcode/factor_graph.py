@@ -19,7 +19,6 @@ from .errors import CapacityError, DegenerateSizeError, DimensionError
 
 __all__ = [
     "FactorGraph",
-    "adjacency",
     "hamming_7_4",
     "triangle_graph",
     "planar_lhz_graph",
@@ -49,31 +48,6 @@ class FactorGraph:
     @property
     def n_checks(self) -> int:
         return len(self.checks)
-
-    def degrees(self) -> np.ndarray:
-        """Number of checks touching each variable."""
-        d = np.zeros(self.n_vars, dtype=np.intp)
-        for c in self.checks:
-            for v in c:
-                d[v] += 1
-        return d
-
-    def to_dense(self) -> np.ndarray:
-        """The checks as a dense 0/1 matrix, one row per check."""
-        h = np.zeros((self.n_checks, self.n_vars), dtype=np.uint8)
-        for r, c in enumerate(self.checks):
-            h[r, list(c)] = 1
-        return h
-
-
-@lru_cache(maxsize=None)
-def adjacency(graph: FactorGraph) -> tuple[tuple[int, ...], ...]:
-    """For each variable, the indices of the checks touching it."""
-    out: list[list[int]] = [[] for _ in range(graph.n_vars)]
-    for ci, c in enumerate(graph.checks):
-        for v in c:
-            out[v].append(ci)
-    return tuple(tuple(s) for s in out)
 
 
 def hamming_7_4() -> FactorGraph:

@@ -13,13 +13,14 @@ under any chunking, cell order, or thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import NoiseModel, apply_iid_flip, stream
+from .channel import NoiseModel, apply_iid_flip, check_epsilon, stream
 from .codes import consecutive_indices, encode, num_pairs
 from .decoders import (
     MLE_MAX_LOGICAL,
@@ -29,7 +30,7 @@ from .decoders import (
     _mle_batch,
     epsilon_star,
 )
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
 __all__ = [
@@ -48,7 +49,8 @@ __all__ = [
 
 # Stable ids folded into the RNG key so decoders never share noise unless asked.
 DECODER_IDS = {"majority": 1, "bp": 2, "mle": 3}
-GRAPH_KINDS = ("triangle", "planar")
+_GRAPHS = {"triangle": triangle_graph, "planar": planar_lhz_graph}
+GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BP_TRIAL_CHUNK = 256   # trials per message-passing batch, keeps arrays ~100 MB
@@ -61,7 +63,7 @@ def chernoff_bound(n: int, epsilon: float) -> float:
     the n-2 indirect votes, each an independent two-bit parity.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ConfigError(f"need n >= 2, got {n}")
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
@@ -76,7 +78,11 @@ def union_bound(n: int, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One sweep: every decoder at every (n, epsilon) cell."""
+    """One sweep: every decoder at every (n, epsilon) cell.
+
+    The single place the sweep and cell settings are validated; run_cell
+    builds a one-cell config for the same checks. Raises ConfigError.
+    """
 
     n_values: tuple[int, ...]
     eps_values: tuple[float, ...]
@@ -92,30 +98,29 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.n_values:
-            raise ValueError("n_values is empty")
+            raise ConfigError("n_values is empty")
         for n in self.n_values:
             if n < 2:
-                raise ValueError(f"need n >= 2, got {n}")
+                raise ConfigError(f"need n >= 2, got {n}")
         if not self.eps_values:
-            raise ValueError("eps_values is empty")
+            raise ConfigError("eps_values is empty")
         for e in self.eps_values:
-            if not 0.0 <= e <= 0.5:
-                raise ValueError(f"epsilon must lie in [0, 1/2], got {e}")
+            check_epsilon(e)
+        if not self.decoders:
+            raise ConfigError("decoders is empty")
         for d in self.decoders:
             if d not in DECODER_IDS:
-                raise ValueError(f"unknown decoder {d!r}, expected one of {sorted(DECODER_IDS)}")
-        if not self.decoders:
-            raise ValueError("decoders is empty")
+                raise ConfigError(f"unknown decoder {d!r}, expected one of {sorted(DECODER_IDS)}")
         if self.trials < 1:
-            raise ValueError(f"need at least 1 trial, got {self.trials}")
+            raise ConfigError(f"need at least 1 trial, got {self.trials}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.graph not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph {self.graph!r}, expected one of {GRAPH_KINDS}")
+            raise ConfigError(f"unknown graph {self.graph!r}, expected one of {GRAPH_KINDS}")
         if self.bp_iterations < 1:
-            raise ValueError(f"need at least 1 iteration, got {self.bp_iterations}")
+            raise ConfigError(f"need at least 1 iteration, got {self.bp_iterations}")
         if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
+            raise ConfigError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +171,13 @@ class SweepResult:
 
 @lru_cache(maxsize=None)
 def graph_for(kind: str, n: int) -> FactorGraph:
+    if kind not in _GRAPHS:
+        raise ConfigError(f"unknown graph {kind!r}, expected one of {GRAPH_KINDS}")
     if n == 2:
         # Single variable, nothing to constrain; message passing degenerates
         # to reading the channel prior, which is the right answer.
         return FactorGraph(1, ())
-    return triangle_graph(n) if kind == "triangle" else planar_lhz_graph(n)
+    return _GRAPHS[kind](n)
 
 
 def _draw_words(
@@ -247,7 +254,24 @@ def run_cell(
     trial), so the result is independent of scheduling. shared_noise drops
     the decoder id from the key: every decoder then sees the exact same
     logical words and flip patterns, which makes paired comparisons sharp.
+    The settings are checked by the one-cell SimConfig they make up, so bad
+    input raises ConfigError before any trial runs.
     """
+    SimConfig(
+        n_values=(n,),
+        eps_values=(epsilon,),
+        decoders=(decoder,),
+        trials=trials,
+        seed=seed,
+        graph=graph,
+        bp_iterations=bp_iterations,
+        schedule=schedule,
+        include_direct=include_direct,
+        all_zero=all_zero,
+        shared_noise=shared_noise,
+    )
+    if eps_index < 0:
+        raise ConfigError(f"eps_index must be nonnegative, got {eps_index}")
     decoder_slot = _SHARED_ID if shared_noise else DECODER_IDS[decoder]
     true, obs = _draw_words(n, epsilon, trials, seed, decoder_slot, eps_index, all_zero)
     decoded = _decode_consecutive(obs, n, epsilon, decoder, graph, bp_iterations, schedule, include_direct)
@@ -279,8 +303,9 @@ def run_cell(
 def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     """Run every cell of the sweep, in (decoder, n, epsilon) row order.
 
-    Cells are independent, so they may be farmed out to worker threads;
-    results are collected back in the deterministic row order either way.
+    Cells are independent, so they may be farmed out to worker threads,
+    at most one per cell and per CPU; results are collected back in the
+    deterministic row order either way.
     A decoder hitting its capacity limit yields a CellError instead of
     aborting the sweep.
     """
@@ -311,8 +336,11 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
         except CapacityError as exc:
             return CellError(decoder=dec, n=n, epsilon=eps, message=str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if threads < 1:
+        raise ConfigError(f"threads must be positive, got {threads}")
+    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, cells))
     else:
         outcomes = [one(c) for c in cells]

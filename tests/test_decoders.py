@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from lhzcode import (
     CapacityError,
+    ConfigError,
     DimensionError,
     FactorGraph,
     InconsistentEvidenceError,
     NoiseModel,
     apply_iid_flip,
-    bp_constraint_message,
     bp_decode,
-    bp_variable_update,
     channel_prior,
     consecutive_bits,
     consecutive_indices,
@@ -31,7 +30,7 @@ from lhzcode import (
     triangle_graph,
     planar_lhz_graph,
 )
-from lhzcode.decoders import _bp_batch, _majority_batch, _mle_batch
+from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch
 
 from reference import (
     exact_marginals,
@@ -67,38 +66,53 @@ class TestEpsilonStar:
             epsilon_star(-0.1)
 
 
+def _one_round(checks, priors):
+    """Beliefs after a single belief-schedule round on the given checks."""
+    fg = FactorGraph(len(priors), checks)
+    return bp_decode(fg, np.array(priors, dtype=float), iterations=1).beliefs
+
+
 class TestMessagePrimitives:
+    # A flat-prior variable's one-round belief is exactly the check message
+    # it receives, so these pin the engine's check and variable updates.
     def test_constraint_message_frozen(self):
-        m = bp_constraint_message([(0.9, 0.1), (0.9, 0.1)])
-        assert np.allclose(m, [0.82, 0.18], atol=1e-15)
-        m = bp_constraint_message([(1.0, 0.0), (0.9, 0.1)])
-        assert np.allclose(m, [0.9, 0.1], atol=1e-15)
+        m = _one_round(((0, 1, 2),), [(0.9, 0.1), (0.9, 0.1), (0.5, 0.5)])[2]
+        assert np.allclose(m, [0.82, 0.18], atol=1e-12)
+        m = _one_round(((0, 1, 2),), [(1.0, 0.0), (0.9, 0.1), (0.5, 0.5)])[2]
+        assert np.allclose(m, [0.9, 0.1], atol=1e-12)
 
     def test_constraint_message_edge_cases(self):
-        assert np.allclose(bp_constraint_message([]), [1.0, 0.0])
-        assert np.allclose(bp_constraint_message([(0.5, 0.5), (0.99, 0.01)]), [0.5, 0.5])
+        # no other neighbor: the check pins its lone variable to even parity
+        assert np.allclose(_one_round(((0,),), [(0.5, 0.5)])[0], [1.0, 0.0])
+        m = _one_round(((0, 1, 2),), [(0.5, 0.5), (0.99, 0.01), (0.5, 0.5)])[2]
+        assert np.allclose(m, [0.5, 0.5])
         # hard inputs compose like xor
-        m = bp_constraint_message([(0.0, 1.0), (0.0, 1.0)])
+        m = _one_round(((0, 1, 2),), [(0.0, 1.0), (0.0, 1.0), (0.5, 0.5)])[2]
         assert np.allclose(m, [1.0, 0.0])
 
     def test_variable_update_frozen(self):
-        out = bp_variable_update((0.9, 0.1), [(0.82, 0.18)])
-        assert np.allclose(out, [0.738 / 0.756, 0.018 / 0.756], atol=1e-15)
+        out = _one_round(((0, 1, 2),), [(0.9, 0.1)] * 3)[2]
+        assert np.allclose(out, [0.738 / 0.756, 0.018 / 0.756], atol=1e-12)
 
     def test_variable_update_empty(self):
-        assert np.allclose(bp_variable_update((0.3, 0.7), []), [0.3, 0.7])
+        assert np.allclose(_one_round((), [(0.3, 0.7)])[0], [0.3, 0.7])
 
     def test_variable_update_conflict(self):
-        with pytest.raises(InconsistentEvidenceError):
-            bp_variable_update((1.0, 0.0), [(0.0, 1.0)])
+        # the check forces g2 = g0 xor g1 = 0 against a hard prior of 1
+        fg = FactorGraph(3, ((0, 1, 2),))
+        priors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for schedule in SCHEDULES:
+            with pytest.raises(InconsistentEvidenceError):
+                bp_decode(fg, priors, iterations=1, schedule=schedule)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5))
     def test_normalization(self, ps):
-        beliefs = [(p, 1 - p) for p in ps]
-        m = bp_constraint_message(beliefs)
-        assert m.sum() == pytest.approx(1.0)
-        out = bp_variable_update(beliefs[0], beliefs[1:])
-        assert out.sum() == pytest.approx(1.0)
+        priors = [(p, 1 - p) for p in ps] + [(0.5, 0.5)]
+        checks = (tuple(range(len(priors))),)
+        out = _one_round(checks, priors)
+        assert np.allclose(out.sum(axis=1), 1.0)
+        want = naive_belief_bp(FactorGraph(len(priors), checks), priors, 1)
+        assert np.allclose(out, want, atol=1e-12)
 
 
 def _single_check_fixture():
@@ -250,8 +264,10 @@ class TestBpProperties:
             bp_decode(fg, np.full((5, 2), 0.5))
         with pytest.raises(ValueError):
             bp_decode(fg, np.full((6, 2), 0.4))  # rows sum to 0.8
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             bp_decode(fg, np.full((6, 2), 0.5), iterations=0)
+        with pytest.raises(ConfigError):
+            bp_decode(fg, np.full((6, 2), 0.5), schedule="flooding")
         with pytest.raises(DimensionError):
             bp_decode(fg, np.full((6, 2), 0.5), observed=[0, 1])
 
@@ -330,6 +346,10 @@ class TestMajority:
         assert out.consecutive.tolist() == [0, 0, 0]
         assert out.word.tolist() == [0, 0, 0, 0, 0, 0]
         assert out.iterations == 0 and out.converged and out.beliefs is None
+
+    def test_include_direct_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            majority_vote_decode("000001", True)
 
     def test_n2_passthrough(self):
         assert majority_vote_decode([1]).consecutive.tolist() == [1]

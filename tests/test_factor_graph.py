@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lhzcode.decoders import _bp_layout
+
 from lhzcode import (
     CapacityError,
     DegenerateSizeError,
     DimensionError,
     FactorGraph,
-    adjacency,
     encode,
     enumerate_codewords,
     gf2_rank,
@@ -20,6 +21,11 @@ from lhzcode import (
     syndrome,
     triangle_graph,
 )
+
+def _degrees(graph):
+    """Number of checks touching each variable."""
+    return np.bincount([v for c in graph.checks for v in c], minlength=graph.n_vars)
+
 
 bit_words = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
@@ -38,15 +44,26 @@ class TestFactorGraph:
     def test_counts_and_degrees(self):
         fg = FactorGraph(4, ((0, 1), (1, 2, 3)))
         assert fg.n_checks == 2
-        assert fg.degrees().tolist() == [1, 2, 1, 1]
+        assert _degrees(fg).tolist() == [1, 2, 1, 1]
 
     def test_dense(self):
-        fg = FactorGraph(3, ((0, 2),))
-        assert fg.to_dense().tolist() == [[1, 0, 1]]
+        # the syndrome is the dense check matrix times the word, mod 2
+        fg = FactorGraph(4, ((0, 2), (1, 2, 3)))
+        h = np.zeros((fg.n_checks, fg.n_vars), dtype=np.int64)
+        for r, c in enumerate(fg.checks):
+            h[r, list(c)] = 1
+        for m in range(2**fg.n_vars):
+            w = np.array([(m >> v) & 1 for v in range(fg.n_vars)], dtype=np.uint8)
+            assert syndrome(fg, w).tolist() == (h @ w % 2).tolist()
 
     def test_adjacency(self):
+        # the message layout gathers, for each variable, one slot per check
+        # touching it; weight-2 checks come first, padding points past the end
         fg = FactorGraph(4, ((0, 1), (1, 2, 3), (0, 3)))
-        assert adjacency(fg) == ((0, 2), (0, 1), (1,), (1, 2))
+        layout = _bp_layout(fg)
+        assert layout.n_slots == 7
+        assert layout.slot_var.tolist() == [0, 1, 0, 3, 1, 2, 3]
+        assert layout.adj.tolist() == [[0, 2], [1, 4], [5, 7], [3, 6]]
 
     def test_hashable(self):
         assert triangle_graph(4) == triangle_graph(4)
@@ -55,12 +72,9 @@ class TestFactorGraph:
 
 class TestHamming:
     def test_rows(self):
-        h = hamming_7_4().to_dense()
-        assert h.tolist() == [
-            [1, 1, 1, 0, 1, 0, 0],
-            [0, 1, 1, 1, 0, 1, 0],
-            [0, 0, 1, 1, 1, 0, 1],
-        ]
+        rows = ["1110100", "0111010", "0011101"]
+        want = tuple(tuple(v for v, bit in enumerate(r) if bit == "1") for r in rows)
+        assert hamming_7_4().checks == want
 
     def test_rank_and_size(self):
         assert gf2_rank(hamming_7_4()) == 3
@@ -81,7 +95,7 @@ class TestTriangle:
         fg = triangle_graph(n)
         assert fg.n_vars == num_pairs(n)
         assert fg.n_checks == math.comb(n, 3)
-        assert (fg.degrees() == n - 2).all()
+        assert (_degrees(fg) == n - 2).all()
         assert all(len(c) == 3 for c in fg.checks)
 
     def test_degenerate(self):

@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lhzcode.sim
 from lhzcode import (
     CellError,
+    ConfigError,
     SimConfig,
     SimResult,
     chernoff_bound,
@@ -51,6 +54,12 @@ class TestBounds:
             chernoff_bound(10, 0.6)
 
 
+def _bad_cell(case, **bad):
+    """A run_cell call on an otherwise valid bp cell, with some arguments replaced."""
+    kw = {"n": 4, "epsilon": 0.1, "decoder": "bp", "trials": 5, "seed": 1, **bad}
+    return pytest.param(lambda: run_cell(**kw), id=f"run_cell-{case}")
+
+
 class TestSimConfig:
     def test_defaults_valid(self):
         SimConfig(n_values=(4,), eps_values=(0.1,))
@@ -69,13 +78,24 @@ class TestSimConfig:
             {"graph": "full"},
             {"bp_iterations": 0},
             {"schedule": "flooding"},
+            # run_cell checks its arguments through a one-cell SimConfig, and
+            # graph_for knows only the kinds in its table
+            _bad_cell("graph", graph="foo"),
+            _bad_cell("iterations", bp_iterations=0),
+            _bad_cell("trials", trials=0),
+            _bad_cell("decoder", decoder="turbo"),
+            _bad_cell("schedule", decoder="majority", schedule="nope"),
+            _bad_cell("seed", seed=-1),
+            _bad_cell("eps_index", eps_index=-1),
+            pytest.param(lambda: graph_for("foo", 2), id="graph_for-n2"),
+            pytest.param(lambda: graph_for("foo", 5), id="graph_for-n5"),
         ],
     )
     def test_rejects(self, kw):
-        base = dict(n_values=(4,), eps_values=(0.1,))
-        base.update(kw)
-        with pytest.raises(ValueError):
-            SimConfig(**base)
+        build = kw if callable(kw) else lambda: SimConfig(**{"n_values": (4,), "eps_values": (0.1,), **kw})
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert isinstance(exc.value, ValueError)
 
 
 class TestDrawWords:
@@ -167,6 +187,12 @@ class TestRunCell:
         fg = graph_for("triangle", 2)
         assert fg.n_vars == 1 and fg.n_checks == 0
 
+    def test_extrinsic_bias_saturation(self):
+        # soft-prior extrinsic biases used to round to exactly +-1 here, which
+        # zeroed check messages and raised InconsistentEvidenceError
+        r = run_cell(20, 0.2, "bp", 512, 1, schedule="extrinsic")
+        assert 0 < r.failures < 0.2 * r.trials
+
 
 class TestRunSweep:
     def test_row_order_and_content(self):
@@ -192,6 +218,29 @@ class TestRunSweep:
             n_values=(2, 5, 8), eps_values=(0.1, 0.2), decoders=("bp", "majority"), trials=80, seed=17
         )
         assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=8)
+
+    def test_threads_capped(self, monkeypatch):
+        # a serial stand-in records the pool size run_sweep asks for
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(lhzcode.sim, "ThreadPoolExecutor", Recorder)
+        cfg = SimConfig(n_values=(3, 4, 5), eps_values=(0.1,), decoders=("majority",), trials=10, seed=2)
+        assert run_sweep(cfg, threads=10**6) == run_sweep(cfg)
+        assert all(s <= min(3, os.cpu_count() or 1) for s in sizes)
+        with pytest.raises(ConfigError):
+            run_sweep(cfg, threads=0)
 
     def test_capacity_errors_collected(self):
         cfg = SimConfig(n_values=(4, 30), eps_values=(0.1,), decoders=("mle",), trials=20, seed=1)
