@@ -16,8 +16,8 @@ import sys
 from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
-from .errors import CapacityError, LhzError
-from .factor_graph import hamming_7_4, planar_lhz_graph, triangle_graph
+from .errors import CapacityError, ConfigError, DimensionError, LhzError
+from .factor_graph import hamming_7_4
 from .sim import (
     DECODER_IDS,
     GRAPH_KINDS,
@@ -76,20 +76,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _numbers(parts, kind, text: str) -> tuple:
+    try:
+        return tuple(kind(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"cannot read {text!r} as {kind.__name__} values") from None
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Either "8", "2,6,10", or an inclusive range "2..40"."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = _numbers(text.split("..", 1), int, text)
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise ConfigError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1))
-    return tuple(int(p) for p in text.split(","))
+    return _numbers(text.split(","), int, text)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    return _numbers(text.split(","), float, text)
 
 
 def _bits_str(a) -> str:
@@ -156,8 +162,8 @@ def cmd_graph(args) -> int:
         pairs = None
     else:
         if args.n is None:
-            raise ValueError(f"graph {args.kind} needs --n")
-        fg = triangle_graph(args.n) if args.kind == "triangle" else planar_lhz_graph(args.n)
+            raise ConfigError(f"graph {args.kind} needs --n")
+        fg = graph_for(args.kind, args.n)
         pairs = pair_table(args.n)
     if args.format == "json":
         obj = {"kind": args.kind, "n_vars": fg.n_vars, "n_checks": fg.n_checks}
@@ -183,7 +189,7 @@ def cmd_decode(args) -> int:
     word = as_bits(args.word)
     n = num_logical(word.size)
     if args.n is not None and args.n != n:
-        raise ValueError(f"--n {args.n} does not match word length {word.size} (implies n={n})")
+        raise DimensionError(f"--n {args.n} does not match word length {word.size} (implies n={n})")
     model = NoiseModel(args.eps)
     if args.decoder == "majority":
         out = majority_vote_decode(word, include_direct=args.include_direct)
@@ -276,7 +282,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LhzError, ValueError) as exc:
+    except LhzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

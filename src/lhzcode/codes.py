@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, InvalidPairError
+from .errors import ConfigError, DimensionError, InvalidPairError
 
 __all__ = [
     "num_pairs",
@@ -78,13 +78,13 @@ def as_bits(seq) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1. Accepts strings like "0110"."""
     if isinstance(seq, str):
         if not set(seq) <= {"0", "1"}:
-            raise ValueError(f"bit string may only contain 0 and 1, got {seq!r}")
+            raise ConfigError(f"bit string may only contain 0 and 1, got {seq!r}")
         seq = [int(c) for c in seq]
     a = np.asarray(seq)
     if a.ndim != 1:
-        raise ValueError(f"expected a 1-D bit sequence, got shape {a.shape}")
+        raise DimensionError(f"expected a 1-D bit sequence, got shape {a.shape}")
     if a.size and not np.isin(a, (0, 1)).all():
-        raise ValueError("bits must be 0 or 1")
+        raise ConfigError("bits must be 0 or 1")
     return a.astype(np.uint8)
 
 

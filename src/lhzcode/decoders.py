@@ -128,45 +128,37 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 # ---------------------------------------------------------- message passing
 
 class _BpLayout(NamedTuple):
-    groups: tuple[tuple[int, np.ndarray], ...]  # (slot offset, (n_checks, weight) var indices)
-    adj: np.ndarray       # (n_vars, max_degree) slot indices, padded with n_slots
-    slot_var: np.ndarray  # (n_slots,) variable each slot points at
-    n_slots: int
+    checks: np.ndarray    # (n_checks, max_weight) variable indices, padded with n_vars
+    slot_var: np.ndarray  # checks.ravel(): the variable each slot points at
+    adj: np.ndarray       # (n_vars, max_degree) slot indices, padded with checks.size
 
 
 @lru_cache(maxsize=None)
 def _bp_layout(graph: FactorGraph) -> _BpLayout:
-    """Flattened message layout: checks grouped by weight, one slot per edge.
+    """Flattened message layout: one padded check table, one slot per entry.
 
-    Slot (group offset + check*w + position) holds the message from that
-    check to the variable at that position. The padded adjacency gathers
-    every variable's incoming slots; the extra slot n_slots stays neutral.
+    Slot (check*max_weight + position) holds the message from that check to
+    the variable at that position. Short checks are padded with a phantom
+    variable n_vars whose bias is held at 1, so it leaves every exclusive
+    product unchanged. The padded adjacency gathers each real variable's
+    slots in check order; its padding points at the extra slot checks.size,
+    whose message stays 0.
     """
-    weights = sorted({len(c) for c in graph.checks if len(c) > 0})
-    groups = []
-    offset = 0
-    for w in weights:
-        arr = np.array([c for c in graph.checks if len(c) == w], dtype=np.intp)
-        arr.setflags(write=False)
-        groups.append((offset, arr))
-        offset += arr.size
-    n_slots = offset
-    incoming: list[list[int]] = [[] for _ in range(graph.n_vars)]
-    slot_var = np.zeros(n_slots, dtype=np.intp)
-    for off, arr in groups:
-        nc, w = arr.shape
-        for ci in range(nc):
-            for p in range(w):
-                s = off + ci * w + p
-                slot_var[s] = arr[ci, p]
-                incoming[arr[ci, p]].append(s)
+    w = max((len(c) for c in graph.checks), default=1)
+    checks = np.full((graph.n_checks, w), graph.n_vars, dtype=np.intp)
+    for ci, c in enumerate(graph.checks):
+        checks[ci, : len(c)] = c
+    checks.setflags(write=False)
+    incoming: list[list[int]] = [[] for _ in range(graph.n_vars + 1)]
+    for s, v in enumerate(checks.ravel().tolist()):
+        incoming[v].append(s)
+    incoming.pop()  # the phantom's slots are never read
     dmax = max((len(s) for s in incoming), default=0)
-    adj = np.full((graph.n_vars, max(dmax, 1)), n_slots, dtype=np.intp)
+    adj = np.full((graph.n_vars, max(dmax, 1)), checks.size, dtype=np.intp)
     for v, slots in enumerate(incoming):
         adj[v, : len(slots)] = slots
     adj.setflags(write=False)
-    slot_var.setflags(write=False)
-    return _BpLayout(tuple(groups), adj, slot_var, n_slots)
+    return _BpLayout(checks, checks.ravel(), adj)
 
 
 def _exclusive_prod(x: np.ndarray) -> np.ndarray:
@@ -182,8 +174,8 @@ def _exclusive_prod(x: np.ndarray) -> np.ndarray:
 def _exclusive_sum(x: np.ndarray) -> np.ndarray:
     """Along the last axis: sum of all entries except the one in place.
 
-    Built from prefix/suffix sums, no subtraction, so -inf entries poison
-    only the positions that should see them.
+    Built from prefix/suffix sums, no subtraction, so infinite entries
+    poison only the positions that should see them.
     """
     left = np.zeros_like(x)
     right = np.zeros_like(x)
@@ -217,59 +209,52 @@ def _bp_batch(
 
     Returns (final p0, hard words, converged flags). All trials run the
     full iteration count; the flag just records whether the last round
-    still changed anything. Variable-side products run in log space so
+    still changed anything. Every message is one log-likelihood ratio
+    log(p0/p1) per edge slot: a check sends log1p(d) - log1p(-d) for the
+    exclusive product d of its other neighbours' biases (the tanh rule),
+    and a variable sums its prior LLR with its incoming ones, so
     high-degree graphs cannot underflow.
     """
     layout = _bp_layout(graph)
-    t = p0.shape[0]
+    t, nv = p0.shape
     p0 = p0.astype(np.float64, copy=True)
     with np.errstate(divide="ignore"):
-        lprior0 = np.log(p0)
-        lprior1 = np.log1p(-p0)
-    # One flat array per message component; the trailing pad slot stays 1
-    # so padded adjacency rows contribute nothing.
-    msg0 = np.ones((t, layout.n_slots + 1))
-    msg1 = np.ones((t, layout.n_slots + 1))
+        lprior = np.log(p0) - np.log1p(-p0)
+    # One LLR log(p0/p1) per slot; the trailing pad slot stays 0 so padded
+    # adjacency rows contribute nothing.
+    msg = np.zeros((t, layout.slot_var.size + 1))
+    # Bias d = p0 - p1 per variable plus the phantom, whose bias stays 1.
+    bias = np.ones((t, nv + 1))
+    bias[:, :nv] = 2.0 * p0 - 1.0
     if schedule == "extrinsic":
-        # Variable-to-check state, one bias d = p0 - p1 per slot (the message
-        # travelling against the slot's direction). Starts at the prior.
-        mu_d = np.ones((t, layout.n_slots + 1))
-        if layout.n_slots:
-            mu_d[:, :-1] = (2.0 * p0 - 1.0)[:, layout.slot_var]
+        # Variable-to-check bias per slot (the message travelling against the
+        # slot's direction), starting at the prior; the extra slot takes the
+        # padded adjacency's writes.
+        mu_d = np.ones((t, layout.slot_var.size + 1))
+        mu_d[:, :-1] = bias[:, layout.slot_var]
     hard_prev = _hard(p0, observed)
     converged = np.ones(t, dtype=bool)
     for _ in range(iterations):
         if schedule == "belief":
-            d = 2.0 * p0 - 1.0
-        for off, arr in layout.groups:
-            nc, w = arr.shape
-            seg = slice(off, off + nc * w)
-            if schedule == "belief":
-                dn = d[:, arr]
-            else:
-                dn = mu_d[:, seg].reshape(t, nc, w)
-            out_d = _exclusive_prod(dn).reshape(t, nc * w)
-            msg0[:, seg] = 0.5 * (1.0 + out_d)
-            msg1[:, seg] = 0.5 * (1.0 - out_d)
+            bias[:, :nv] = 2.0 * p0 - 1.0
+            dn = bias[:, layout.checks]
+        else:
+            dn = mu_d[:, :-1].reshape(t, *layout.checks.shape)
+        out_d = _exclusive_prod(dn).reshape(t, layout.slot_var.size)
         with np.errstate(divide="ignore"):
-            lm0 = np.log(msg0)
-            lm1 = np.log(msg1)
-        g0 = lm0[:, layout.adj]
-        g1 = lm1[:, layout.adj]
-        l0 = lprior0 + g0.sum(axis=2)
-        l1 = lprior1 + g1.sum(axis=2)
-        if (np.isneginf(l0) & np.isneginf(l1)).any():
+            msg[:, :-1] = np.log1p(out_d) - np.log1p(-out_d)
+        g = msg[:, layout.adj]
+        with np.errstate(invalid="ignore"):
+            llr = lprior + g.sum(axis=2)
+        # +inf meeting -inf: hard evidence for both values of one variable.
+        if np.isnan(llr).any():
             raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
         with np.errstate(over="ignore"):
-            p0 = 1.0 / (1.0 + np.exp(l1 - l0))
+            p0 = 1.0 / (1.0 + np.exp(-llr))
         np.clip(p0, _CLAMP, 1.0 - _CLAMP, out=p0)
         if schedule == "extrinsic":
-            le0 = lprior0[:, :, None] + _exclusive_sum(g0)
-            le1 = lprior1[:, :, None] + _exclusive_sum(g1)
-            m = np.maximum(le0, le1)
-            a = np.exp(le0 - m)
-            b = np.exp(le1 - m)
-            mu_d[:, layout.adj] = np.clip((a - b) / (a + b), -_BIAS_MAX, _BIAS_MAX)
+            le = lprior[:, :, None] + _exclusive_sum(g)
+            mu_d[:, layout.adj] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX)
         hard = _hard(p0, observed)
         converged = (hard == hard_prev).all(axis=1)
         hard_prev = hard
@@ -302,7 +287,7 @@ def bp_decode(
     if priors.shape != (graph.n_vars, 2):
         raise DimensionError(f"priors must have shape ({graph.n_vars}, 2), got {priors.shape}")
     if not np.allclose(priors.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("each prior row must sum to 1")
+        raise ConfigError("each prior row must sum to 1")
     if iterations < 1:
         raise ConfigError(f"iterations must be positive, got {iterations}")
     if schedule not in SCHEDULES:

@@ -10,7 +10,8 @@ class InvalidPairError(LhzError, ValueError):
 
 
 class ConfigError(LhzError, ValueError):
-    """A setting outside its domain: size, epsilon, decoder, graph, schedule, counts."""
+    """A value outside its domain: size, epsilon, decoder, graph, schedule, counts,
+    bits, prior rows, check indices, or an unreadable command line number."""
 
 
 class DimensionError(LhzError, ValueError):

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .codes import as_bits, num_pairs, pair_index
-from .errors import CapacityError, DegenerateSizeError, DimensionError
+from .errors import CapacityError, ConfigError, DegenerateSizeError, DimensionError
 
 __all__ = [
     "FactorGraph",
@@ -37,13 +37,13 @@ class FactorGraph:
 
     def __post_init__(self):
         if self.n_vars < 0:
-            raise ValueError(f"n_vars must be nonnegative, got {self.n_vars}")
+            raise ConfigError(f"n_vars must be nonnegative, got {self.n_vars}")
         for c in self.checks:
             if len(set(c)) != len(c):
-                raise ValueError(f"check {c} touches a variable twice")
+                raise ConfigError(f"check {c} touches a variable twice")
             for v in c:
                 if not 0 <= v < self.n_vars:
-                    raise ValueError(f"check {c} references variable {v} outside [0, {self.n_vars})")
+                    raise ConfigError(f"check {c} references variable {v} outside [0, {self.n_vars})")
 
     @property
     def n_checks(self) -> int:

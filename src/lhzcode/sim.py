@@ -56,14 +56,19 @@ _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BP_TRIAL_CHUNK = 256   # trials per message-passing batch, keeps arrays ~100 MB
 
 
+def _check_n(n: int) -> None:
+    """The one size rule: a pairwise-parity word needs n >= 2 logical bits."""
+    if n < 2:
+        raise ConfigError(f"need n >= 2, got {n}")
+
+
 def chernoff_bound(n: int, epsilon: float) -> float:
     """Analytic bound on one consecutive bit's majority failure.
 
     exp(-2 (n-2) (1/2 - eps*)^2) with eps* = 2 eps (1 - eps): Hoeffding on
     the n-2 indirect votes, each an independent two-bit parity.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
+    _check_n(n)
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
@@ -100,8 +105,7 @@ class SimConfig:
         if not self.n_values:
             raise ConfigError("n_values is empty")
         for n in self.n_values:
-            if n < 2:
-                raise ConfigError(f"need n >= 2, got {n}")
+            _check_n(n)
         if not self.eps_values:
             raise ConfigError("eps_values is empty")
         for e in self.eps_values:
@@ -171,8 +175,10 @@ class SweepResult:
 
 @lru_cache(maxsize=None)
 def graph_for(kind: str, n: int) -> FactorGraph:
+    """The constraint graph message passing runs on for a kind and size."""
     if kind not in _GRAPHS:
         raise ConfigError(f"unknown graph {kind!r}, expected one of {GRAPH_KINDS}")
+    _check_n(n)
     if n == 2:
         # Single variable, nothing to constrain; message passing degenerates
         # to reading the channel prior, which is the right answer.
@@ -220,8 +226,7 @@ def _decode_consecutive(
                 f"exceeds the n={MLE_MAX_LOGICAL} limit"
             )
         b = _mle_batch(obs, n)
-        iu, ju = np.triu_indices(n, 1)
-        return (b[:, iu] ^ b[:, ju])[:, consecutive_indices(n)]
+        return b[:, :-1] ^ b[:, 1:]
     fg = graph_for(graph, n)
     cons_idx = consecutive_indices(n)
     out = np.empty((obs.shape[0], n - 1), dtype=np.uint8)

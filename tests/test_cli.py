@@ -48,6 +48,17 @@ class TestGraphCmd:
         assert code == 1
         assert "needs --n" in err
 
+    @pytest.mark.parametrize("kind", ["triangle", "planar"])
+    def test_n2_is_the_graph_decoders_run_on(self, capsys, kind):
+        # the one-variable, zero-check graph that decode and simulate use
+        code, out, _ = run_cli(capsys, "graph", kind, "--n", "2", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["n_vars"], obj["n_checks"], obj["checks"]) == (1, 0, [])
+        assert obj["pairs"] == [[1, 2]]
+        code, _, err = run_cli(capsys, "graph", kind, "--n", "1")
+        assert code == 1 and "n >= 2" in err
+
 
 class TestDecodeCmd:
     def test_bp_walkthrough(self, capsys):
@@ -188,6 +199,10 @@ class TestSimulateCmd:
             ["simulate", "--n", "4", "--eps", "0.1", "--trials", "5", "--threads", "0"],
             ["simulate", "--n", "5..3", "--eps", "0.1", "--trials", "5"],
             ["simulate", "--n", "x", "--eps", "0.1", "--trials", "5"],
+            ["simulate", "--n", "2..x", "--eps", "0.1", "--trials", "5"],
+            ["simulate", "--n", "2,3..5", "--eps", "0.1", "--trials", "5"],
+            ["simulate", "--n", "", "--eps", "0.1", "--trials", "5"],
+            ["simulate", "--n", "4", "--eps", "0.1,abc", "--trials", "5"],
         ],
     )
     def test_usage_errors(self, capsys, argv):

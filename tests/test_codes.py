@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhzcode import (
+    ConfigError,
     DimensionError,
     InvalidPairError,
     as_bits,
@@ -138,9 +139,9 @@ class TestAsBits:
         assert as_bits(np.array([1.0, 0.0])).tolist() == [1, 0]
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             as_bits("01x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             as_bits([0, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             as_bits([[0, 1]])

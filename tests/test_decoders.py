@@ -186,6 +186,28 @@ class TestBpAgainstNaive:
         out = bp_decode(graph, priors, iterations=iterations, schedule=schedule)
         assert np.abs(out.beliefs - ref(graph, priors, iterations)).max() < 1e-12
 
+    @pytest.mark.parametrize("schedule", ["belief", "extrinsic"])
+    @pytest.mark.parametrize("iterations", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "graph",
+        [triangle_graph(5), planar_lhz_graph(5), hamming_7_4()],
+        ids=["tri5", "planar5", "hamming"],
+    )
+    def test_consistent_hard_priors_match_reference(self, graph, iterations, schedule):
+        # infinite LLRs from exactly-hard rows of a codeword, carried through
+        # several rounds of weight-3/4 checks next to soft rows
+        rng = stream(2025, graph.n_vars, iterations, {"belief": 1, "extrinsic": 2}[schedule])
+        words = sorted(enumerate_codewords(graph))
+        word = np.array(words[rng.integers(len(words))], dtype=np.uint8)
+        p = rng.uniform(0.05, 0.95, graph.n_vars)
+        hard = rng.random(graph.n_vars) < 0.4
+        p[hard] = 1.0 - word[hard]
+        priors = np.stack([p, 1 - p], axis=1)
+        ref = naive_belief_bp if schedule == "belief" else naive_extrinsic_bp
+        out = bp_decode(graph, priors, iterations=iterations, schedule=schedule)
+        assert hard.any()
+        assert np.abs(out.beliefs - ref(graph, priors, iterations)).max() < 1e-12
+
 
 class TestBpTreeExactness:
     @pytest.mark.parametrize(
@@ -262,7 +284,7 @@ class TestBpProperties:
         fg = triangle_graph(4)
         with pytest.raises(DimensionError):
             bp_decode(fg, np.full((5, 2), 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             bp_decode(fg, np.full((6, 2), 0.4))  # rows sum to 0.8
         with pytest.raises(ConfigError):
             bp_decode(fg, np.full((6, 2), 0.5), iterations=0)

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lhzcode.decoders import _bp_layout
+from lhzcode.decoders import SCHEDULES, _bp_layout
+from reference import naive_belief_bp, naive_extrinsic_bp
 
 from lhzcode import (
     CapacityError,
+    ConfigError,
     DegenerateSizeError,
     DimensionError,
     FactorGraph,
+    bp_decode,
     encode,
     enumerate_codewords,
     gf2_rank,
@@ -34,11 +37,11 @@ bit_words = st.integers(3, 8).flatmap(
 
 class TestFactorGraph:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FactorGraph(3, ((0, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FactorGraph(3, ((0, 3),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FactorGraph(-1, ())
 
     def test_counts_and_degrees(self):
@@ -57,13 +60,22 @@ class TestFactorGraph:
             assert syndrome(fg, w).tolist() == (h @ w % 2).tolist()
 
     def test_adjacency(self):
-        # the message layout gathers, for each variable, one slot per check
-        # touching it; weight-2 checks come first, padding points past the end
+        # one padded check table: short checks end in the phantom variable
+        # n_vars, slot (check*3 + position) is that entry, and each variable
+        # gathers its slots in check order, padded with the pad slot 9
         fg = FactorGraph(4, ((0, 1), (1, 2, 3), (0, 3)))
         layout = _bp_layout(fg)
-        assert layout.n_slots == 7
-        assert layout.slot_var.tolist() == [0, 1, 0, 3, 1, 2, 3]
-        assert layout.adj.tolist() == [[0, 2], [1, 4], [5, 7], [3, 6]]
+        assert layout.checks.tolist() == [[0, 1, 4], [1, 2, 3], [0, 3, 4]]
+        assert layout.slot_var.tolist() == [0, 1, 4, 1, 2, 3, 0, 3, 4]
+        assert layout.adj.tolist() == [[0, 6], [1, 3], [4, 9], [5, 7]]
+        # the phantom's slots are never gathered; the pad slot is neutral
+        # and the phantom's bias of 1 leaves the weight-2 checks exact
+        assert not np.isin(np.flatnonzero(layout.slot_var == fg.n_vars), layout.adj).any()
+        p = np.array([0.9, 0.3, 0.65, 0.2])
+        priors = np.stack([p, 1 - p], axis=1)
+        for schedule, ref in zip(SCHEDULES, (naive_belief_bp, naive_extrinsic_bp)):
+            out = bp_decode(fg, priors, iterations=3, schedule=schedule)
+            assert np.abs(out.beliefs - ref(fg, priors, 3)).max() < 1e-12
 
     def test_hashable(self):
         assert triangle_graph(4) == triangle_graph(4)

@@ -10,12 +10,17 @@ import lhzcode.sim
 from lhzcode import (
     CellError,
     ConfigError,
+    FactorGraph,
+    LhzError,
     SimConfig,
+    as_bits,
+    bp_decode,
     SimResult,
     chernoff_bound,
     epsilon_star,
     run_cell,
     run_sweep,
+    triangle_graph,
     union_bound,
 )
 from lhzcode.sim import _draw_words, graph_for
@@ -89,13 +94,23 @@ class TestSimConfig:
             _bad_cell("eps_index", eps_index=-1),
             pytest.param(lambda: graph_for("foo", 2), id="graph_for-n2"),
             pytest.param(lambda: graph_for("foo", 5), id="graph_for-n5"),
+            # the one n >= 2 rule, shared by the bounds and the graph table
+            pytest.param(lambda: chernoff_bound(1, 0.1), id="chernoff-n1"),
+            pytest.param(lambda: graph_for("triangle", 1), id="graph_for-triangle-n1"),
+            # the library entry points below the sweep reject with an LhzError too
+            pytest.param(lambda: bp_decode(triangle_graph(4), np.full((6, 2), 0.4)), id="bp_decode-prior-sum"),
+            pytest.param(lambda: as_bits("012"), id="as_bits-string"),
+            pytest.param(lambda: as_bits([0, 2]), id="as_bits-values"),
+            pytest.param(lambda: FactorGraph(3, ((0, 0),)), id="factor_graph-repeat"),
+            pytest.param(lambda: FactorGraph(3, ((0, 3),)), id="factor_graph-range"),
+            pytest.param(lambda: FactorGraph(-1, ()), id="factor_graph-negative"),
         ],
     )
     def test_rejects(self, kw):
         build = kw if callable(kw) else lambda: SimConfig(**{"n_values": (4,), "eps_values": (0.1,), **kw})
         with pytest.raises(ConfigError) as exc:
             build()
-        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, LhzError) and isinstance(exc.value, ValueError)
 
 
 class TestDrawWords:
