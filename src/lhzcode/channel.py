@@ -44,11 +44,12 @@ def stream(master_seed: int, *subkeys: int) -> np.random.Generator:
 def apply_iid_flip(g, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Observed word: each bit of g flipped independently with prob epsilon.
 
-    Draws exactly len(g) uniforms from rng, in index order.
+    g is one word or a (trials, k) batch of words. Draws exactly g.size
+    uniforms from rng, in row-major order, so a batch flips the same bits
+    as its rows flipped one after another from the same rng.
     """
-    g = as_bits(g)
-    flips = rng.random(g.size) < model.epsilon
-    return g ^ flips.astype(np.uint8)
+    g = as_bits(g, batch=True)
+    return g ^ (rng.random(g.shape) < model.epsilon)
 
 
 def channel_prior(g_obs, model: NoiseModel) -> np.ndarray:

@@ -12,6 +12,7 @@ import argparse
 import json
 import secrets
 import sys
+from contextlib import nullcontext
 
 from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
@@ -103,9 +104,13 @@ def _bits_str(a) -> str:
 
 
 def _open_out(path):
+    """The --out file opened for writing, or stdout (left open) without one."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,12 +242,8 @@ def cmd_simulate(args) -> int:
     )
     sweep = run_sweep(config, threads=args.threads)
     rows = [{c: getattr(r, c) for c in OUTPUT_COLUMNS} for r in sweep.rows]
-    stream_, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream_:
         _emit(rows, OUTPUT_COLUMNS, args.format, stream_)
-    finally:
-        if close:
-            stream_.close()
     for e in sweep.errors:
         print(f"error: {e.decoder} n={e.n} eps={_fmt(e.epsilon)}: {e.message}", file=sys.stderr)
     return 2 if sweep.errors else 0
@@ -262,12 +263,8 @@ def cmd_bound(args) -> int:
         for n in ns
         for e in eps
     ]
-    stream_, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream_:
         _emit(rows, _BOUND_COLUMNS, args.format, stream_)
-    finally:
-        if close:
-            stream_.close()
     return 0
 
 

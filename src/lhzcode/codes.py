@@ -74,27 +74,29 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def as_bits(seq) -> np.ndarray:
-    """Coerce to a 1-D uint8 array of 0/1. Accepts strings like "0110"."""
+def as_bits(seq, *, batch: bool = False) -> np.ndarray:
+    """Coerce to a 1-D uint8 array of 0/1, or with batch=True also to a 2-D
+    (rows, bits) one. Accepts strings like "0110"."""
     if isinstance(seq, str):
         if not set(seq) <= {"0", "1"}:
             raise ConfigError(f"bit string may only contain 0 and 1, got {seq!r}")
         seq = [int(c) for c in seq]
     a = np.asarray(seq)
-    if a.ndim != 1:
-        raise DimensionError(f"expected a 1-D bit sequence, got shape {a.shape}")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if a.ndim != 1 and not (batch and a.ndim == 2):
+        raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
+    if not np.all((a == 0) | (a == 1)):
         raise ConfigError("bits must be 0 or 1")
     return a.astype(np.uint8)
 
 
 def encode(bits) -> np.ndarray:
-    """Physical word g with g_ij = b_i xor b_j, in pair index order."""
-    b = as_bits(bits)
-    if b.size < 2:
-        raise DimensionError(f"need at least 2 logical bits, got {b.size}")
-    iu, ju = _triu(b.size)
-    return b[iu] ^ b[ju]
+    """Physical word g with g_ij = b_i xor b_j, in pair index order; a
+    (trials, n) batch of logical words gives their (trials, k) words."""
+    b = as_bits(bits, batch=True)
+    if b.shape[-1] < 2:
+        raise DimensionError(f"need at least 2 logical bits, got {b.shape[-1]}")
+    iu, ju = _triu(b.shape[-1])
+    return b[..., iu] ^ b[..., ju]
 
 
 def logical_readout(g) -> np.ndarray:

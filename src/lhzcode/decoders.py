@@ -334,16 +334,19 @@ def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
 
     Ties resolve to the lexicographically smallest candidate: counters run
     in lex order and only strictly smaller distances displace the holder.
+    Past n = MLE_MAX_LOGICAL the search is refused with a CapacityError.
     """
+    if n > MLE_MAX_LOGICAL:
+        raise CapacityError(
+            f"mle at n={n}: exhaustive search over 2^{n - 1} candidates exceeds the n={MLE_MAX_LOGICAL} limit"
+        )
     t, k = words.shape
     total = 1 << (n - 1)
     chunk = max(64, min(total, 64_000_000 // max(1, t * k)))
     best_d = np.full(t, k + 1, dtype=np.int64)
     best_c = np.zeros(t, dtype=np.int64)
-    iu, ju = np.triu_indices(n, 1)
     for lo in range(0, total, chunk):
-        bits = _counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n)
-        cand_words = bits[:, iu] ^ bits[:, ju]
+        cand_words = encode(_counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n))
         dist = (words[:, None, :] != cand_words[None, :, :]).sum(axis=2, dtype=np.int64)
         arg = dist.argmin(axis=1)
         d = dist[np.arange(t), arg]
@@ -360,19 +363,12 @@ def mle_decode(g_obs, model: NoiseModel) -> DecodeOutcome:
     Hamming distance; distance ties resolve to the lexicographically
     smallest gauge-fixed logical word. At epsilon = 1/2 every candidate
     is equally likely, so the all-zero word is returned with the
-    degenerate flag set.
+    degenerate flag set, at any n, since nothing is searched.
     """
     g = as_bits(g_obs)
     n = num_logical(g.size)
-    if n > MLE_MAX_LOGICAL:
-        raise CapacityError(f"exhaustive search over 2^{n - 1} candidates exceeds n={MLE_MAX_LOGICAL}")
-    if model.epsilon == 0.5:
-        b = np.zeros(n, dtype=np.uint8)
-        degenerate = True
-    else:
-        b = _mle_batch(g[None, :], n)[0]
-        degenerate = False
-    word = encode(b)
+    degenerate = model.epsilon == 0.5
+    word = encode(np.zeros(n, dtype=np.uint8) if degenerate else _mle_batch(g[None, :], n)[0])
     return DecodeOutcome(
         consecutive=word[consecutive_indices(n)],
         word=word,

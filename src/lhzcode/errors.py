@@ -11,7 +11,8 @@ class InvalidPairError(LhzError, ValueError):
 
 class ConfigError(LhzError, ValueError):
     """A value outside its domain: size, epsilon, decoder, graph, schedule, counts,
-    bits, prior rows, check indices, or an unreadable command line number."""
+    bits, prior rows, check indices, an unreadable command line number, or an
+    output path that cannot be opened for writing."""
 
 
 class DimensionError(LhzError, ValueError):

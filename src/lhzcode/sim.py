@@ -5,14 +5,15 @@ i.i.d. flip channel, decode, and compare the decoded consecutive bits with
 the true ones. That comparison is gauge invariant, so the estimate does not
 depend on which of the two logical preimages the decoder lands on.
 
-Every trial owns a private RNG stream keyed by
-(seed, decoder id, n, eps index, trial), which makes results byte-identical
-under any chunking, cell order, or thread count.
+Each cell reads its bits and flips from two RNG streams keyed by (seed,
+decoder id, n, eps index), trial after trial, so results are prefix-stable
+in trials and byte-identical under any block size, cell order, or threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ import numpy as np
 from .channel import NoiseModel, apply_iid_flip, check_epsilon, stream
 from .codes import consecutive_indices, encode, num_pairs
 from .decoders import (
-    MLE_MAX_LOGICAL,
     SCHEDULES,
     _bp_batch,
     _majority_batch,
@@ -53,13 +53,16 @@ _GRAPHS = {"triangle": triangle_graph, "planar": planar_lhz_graph}
 GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
+_BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
+_DRAW_BLOCK = 1024      # trials per encode/flip call, keeps the uniforms ~6 MB at n=40
 _BP_TRIAL_CHUNK = 256   # trials per message-passing batch, keeps arrays ~100 MB
 
 
-def _check_n(n: int) -> None:
-    """The one size rule: a pairwise-parity word needs n >= 2 logical bits."""
-    if n < 2:
-        raise ConfigError(f"need n >= 2, got {n}")
+def _check_count(name: str, value, least: int) -> None:
+    """The one rule for sizes, counts and keys: an integer (not a bool or a
+    float) of at least `least`. A pairwise-parity word needs n >= 2."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"need an integer {name} >= {least}, got {value!r}")
 
 
 def chernoff_bound(n: int, epsilon: float) -> float:
@@ -68,7 +71,7 @@ def chernoff_bound(n: int, epsilon: float) -> float:
     exp(-2 (n-2) (1/2 - eps*)^2) with eps* = 2 eps (1 - eps): Hoeffding on
     the n-2 indirect votes, each an independent two-bit parity.
     """
-    _check_n(n)
+    _check_count("n", n, 2)
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
@@ -105,7 +108,7 @@ class SimConfig:
         if not self.n_values:
             raise ConfigError("n_values is empty")
         for n in self.n_values:
-            _check_n(n)
+            _check_count("n", n, 2)
         if not self.eps_values:
             raise ConfigError("eps_values is empty")
         for e in self.eps_values:
@@ -115,14 +118,14 @@ class SimConfig:
         for d in self.decoders:
             if d not in DECODER_IDS:
                 raise ConfigError(f"unknown decoder {d!r}, expected one of {sorted(DECODER_IDS)}")
-        if self.trials < 1:
-            raise ConfigError(f"need at least 1 trial, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        _check_count("trials", self.trials, 1)
+        k = num_pairs(max(self.n_values))
+        if self.trials > np.iinfo(np.intp).max // k:
+            raise ConfigError(f"{self.trials} trials of {k} bits is more than one array can hold")
+        _check_count("seed", self.seed, 0)
         if self.graph not in GRAPH_KINDS:
             raise ConfigError(f"unknown graph {self.graph!r}, expected one of {GRAPH_KINDS}")
-        if self.bp_iterations < 1:
-            raise ConfigError(f"need at least 1 iteration, got {self.bp_iterations}")
+        _check_count("bp_iterations", self.bp_iterations, 1)
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
 
@@ -178,7 +181,7 @@ def graph_for(kind: str, n: int) -> FactorGraph:
     """The constraint graph message passing runs on for a kind and size."""
     if kind not in _GRAPHS:
         raise ConfigError(f"unknown graph {kind!r}, expected one of {GRAPH_KINDS}")
-    _check_n(n)
+    _check_count("n", n, 2)
     if n == 2:
         # Single variable, nothing to constrain; message passing degenerates
         # to reading the channel prior, which is the right answer.
@@ -189,20 +192,25 @@ def graph_for(kind: str, n: int) -> FactorGraph:
 def _draw_words(
     n: int, epsilon: float, trials: int, seed: int, decoder_slot: int, eps_index: int, all_zero: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """True and observed physical words, one private RNG stream per trial."""
+    """True and observed (trials, k) physical words of one cell.
+
+    Trial t reads uniforms [t*n, (t+1)*n) of the bits stream (bit = u < 1/2)
+    and [t*k, (t+1)*k) of the flips stream. One uniform is one 64-bit output,
+    so drawing _DRAW_BLOCK rows at a time gives the bytes of one whole draw.
+    """
     model = NoiseModel(epsilon)
-    k = num_pairs(n)
-    true = np.empty((trials, k), dtype=np.uint8)
-    obs = np.empty((trials, k), dtype=np.uint8)
-    for t in range(trials):
-        rng = stream(seed, decoder_slot, n, eps_index, t)
+    bits_rng = stream(seed, decoder_slot, n, eps_index, _BITS)
+    flips_rng = stream(seed, decoder_slot, n, eps_index, _FLIPS)
+    true = np.empty((trials, num_pairs(n)), dtype=np.uint8)
+    obs = np.empty_like(true)
+    for lo in range(0, trials, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, trials - lo)
         if all_zero:
-            b = np.zeros(n, dtype=np.uint8)
+            b = np.zeros((rows, n), dtype=np.uint8)
         else:
-            b = rng.integers(0, 2, size=n, dtype=np.uint8)
-        g = encode(b)
-        true[t] = g
-        obs[t] = apply_iid_flip(g, model, rng)
+            b = bits_rng.random((rows, n)) < 0.5
+        true[lo : lo + rows] = g = encode(b)
+        obs[lo : lo + rows] = apply_iid_flip(g, model, flips_rng)
     return true, obs
 
 
@@ -220,11 +228,6 @@ def _decode_consecutive(
     if decoder == "majority":
         return _majority_batch(obs, n, include_direct)
     if decoder == "mle":
-        if n > MLE_MAX_LOGICAL:
-            raise CapacityError(
-                f"mle at n={n}: exhaustive search over 2^{n - 1} candidates "
-                f"exceeds the n={MLE_MAX_LOGICAL} limit"
-            )
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
     fg = graph_for(graph, n)
@@ -255,12 +258,13 @@ def run_cell(
 ) -> SimResult:
     """Monte Carlo failure estimate for one (decoder, n, epsilon) cell.
 
-    Trial t draws from the stream keyed by (seed, decoder id, n, eps_index,
-    trial), so the result is independent of scheduling. shared_noise drops
-    the decoder id from the key: every decoder then sees the exact same
-    logical words and flip patterns, which makes paired comparisons sharp.
-    The settings are checked by the one-cell SimConfig they make up, so bad
-    input raises ConfigError before any trial runs.
+    The noise comes from two streams keyed by (seed, decoder id, n,
+    eps_index), read trial after trial, so the result is independent of
+    scheduling. shared_noise drops the decoder id from the key: every
+    decoder then sees the exact same logical words and flip patterns,
+    which makes paired comparisons sharp. The settings are checked by the
+    one-cell SimConfig they make up, so bad input raises ConfigError
+    before any trial runs.
     """
     SimConfig(
         n_values=(n,),
@@ -275,8 +279,7 @@ def run_cell(
         all_zero=all_zero,
         shared_noise=shared_noise,
     )
-    if eps_index < 0:
-        raise ConfigError(f"eps_index must be nonnegative, got {eps_index}")
+    _check_count("eps_index", eps_index, 0)
     decoder_slot = _SHARED_ID if shared_noise else DECODER_IDS[decoder]
     true, obs = _draw_words(n, epsilon, trials, seed, decoder_slot, eps_index, all_zero)
     decoded = _decode_consecutive(obs, n, epsilon, decoder, graph, bp_iterations, schedule, include_direct)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lhzcode import NoiseModel, apply_iid_flip, channel_prior, stream
+from lhzcode import ConfigError, DimensionError, NoiseModel, apply_iid_flip, channel_prior, stream
 
 
 class TestNoiseModel:
@@ -45,7 +45,7 @@ class TestApplyFlip:
 
     def test_draw_budget(self):
         # flipping a word consumes exactly len(word) uniforms, in order,
-        # which is what keeps per-trial streams reproducible
+        # which is what lets a cell draw its trials block by block
         g = np.zeros(8, dtype=np.uint8)
         r1 = stream(42, 9)
         apply_iid_flip(g, NoiseModel(0.3), r1)
@@ -60,6 +60,19 @@ class TestApplyFlip:
         u = stream(5, 0).random(16)
         out = apply_iid_flip(g, NoiseModel(0.25), stream(5, 0))
         assert (out == (u < 0.25)).all()
+
+    def test_batch_equals_rows(self):
+        g = np.random.default_rng(0).integers(0, 2, size=(9, 10), dtype=np.uint8)
+        batch = apply_iid_flip(g, NoiseModel(0.3), stream(6))
+        rng = stream(6)
+        rows = np.stack([apply_iid_flip(row, NoiseModel(0.3), rng) for row in g])
+        assert batch.dtype == np.uint8 and (batch == rows).all()
+
+    def test_batch_rejects_non_bits(self):
+        with pytest.raises(ConfigError):
+            apply_iid_flip(np.full((2, 3), 2), NoiseModel(0.1), stream(1))
+        with pytest.raises(DimensionError):
+            apply_iid_flip(np.zeros((2, 3, 1)), NoiseModel(0.1), stream(1))
 
     def test_flip_rate(self):
         g = np.zeros(20000, dtype=np.uint8)

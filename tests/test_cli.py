@@ -203,6 +203,8 @@ class TestSimulateCmd:
             ["simulate", "--n", "2,3..5", "--eps", "0.1", "--trials", "5"],
             ["simulate", "--n", "", "--eps", "0.1", "--trials", "5"],
             ["simulate", "--n", "4", "--eps", "0.1,abc", "--trials", "5"],
+            # more trials than one (trials, k) word array can be shaped for
+            ["simulate", "--n", "4", "--eps", "0.1", "--trials", "99999999999999999999"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -237,6 +239,14 @@ class TestBoundCmd:
         for argv in (["--n", "4,1", "--eps", "0.1"], ["--n", "4", "--eps", "0.1,0.9"]):
             code, out, err = run_cli(capsys, "bound", *argv)
             assert (code, out) == (1, "") and "error" in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--trials", "5", "--seed", "1"], ["bound"]], ids=["simulate", "bound"])
+def test_unwritable_out(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, *argv, "--n", "4", "--eps", "0.1", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write --out") and str(path) in err
 
 
 class TestTopLevel:

@@ -76,6 +76,16 @@ class TestEncode:
     def test_too_short(self):
         with pytest.raises(DimensionError):
             encode([1])
+        with pytest.raises(DimensionError):
+            encode(np.zeros((3, 1), dtype=np.uint8))
+
+    @given(st.integers(2, 9), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_batch_equals_rows(self, n, trials, seed):
+        b = np.random.default_rng(seed).integers(0, 2, size=(trials, n))
+        g = encode(b)
+        assert g.shape == (trials, num_pairs(n)) and g.dtype == np.uint8
+        for row, word in zip(b, g):
+            assert (encode(row) == word).all()
 
     @given(bit_words)
     def test_global_flip_invariance(self, bits):
@@ -145,3 +155,6 @@ class TestAsBits:
             as_bits([0, 2])
         with pytest.raises(DimensionError):
             as_bits([[0, 1]])
+        with pytest.raises(DimensionError):
+            as_bits([[[0, 1]]], batch=True)
+        assert as_bits([[0, 1]], batch=True).shape == (1, 2)

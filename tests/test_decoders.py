@@ -454,6 +454,8 @@ class TestMle:
         g = encode(np.zeros(25, dtype=np.uint8))
         with pytest.raises(CapacityError):
             mle_decode(g, NoiseModel(0.1))
+        # at epsilon 1/2 nothing is searched, so no size is refused
+        assert mle_decode(g, NoiseModel(0.5)).degenerate
 
     def test_outcome_fields(self):
         out = mle_decode([1, 1, 0], NoiseModel(0.1))

@@ -20,10 +20,11 @@ from lhzcode import (
     epsilon_star,
     run_cell,
     run_sweep,
+    stream,
     triangle_graph,
     union_bound,
 )
-from lhzcode.sim import _draw_words, graph_for
+from lhzcode.sim import _DRAW_BLOCK, _draw_words, graph_for
 
 from reference import exact_majority_pair_fail
 
@@ -83,6 +84,16 @@ class TestSimConfig:
             {"graph": "full"},
             {"bp_iterations": 0},
             {"schedule": "flooding"},
+            # counts, sizes and keys are integers: bool and float are refused
+            {"n_values": (4.0,)},
+            {"n_values": (True,)},
+            {"trials": 5.5},
+            {"trials": True},
+            {"seed": 1.0},
+            {"seed": False},
+            {"bp_iterations": 2.5},
+            # more trials than a (trials, k) word array can be shaped for
+            {"trials": 99999999999999999999},
             # run_cell checks its arguments through a one-cell SimConfig, and
             # graph_for knows only the kinds in its table
             _bad_cell("graph", graph="foo"),
@@ -92,6 +103,10 @@ class TestSimConfig:
             _bad_cell("schedule", decoder="majority", schedule="nope"),
             _bad_cell("seed", seed=-1),
             _bad_cell("eps_index", eps_index=-1),
+            _bad_cell("trials-float", trials=5.5),
+            _bad_cell("trials-bool", trials=True),
+            _bad_cell("eps_index-float", eps_index=0.5),
+            _bad_cell("eps_index-bool", eps_index=True),
             pytest.param(lambda: graph_for("foo", 2), id="graph_for-n2"),
             pytest.param(lambda: graph_for("foo", 5), id="graph_for-n5"),
             # the one n >= 2 rule, shared by the bounds and the graph table
@@ -115,10 +130,45 @@ class TestSimConfig:
 
 class TestDrawWords:
     def test_trial_streams_are_prefix_stable(self):
-        t60 = _draw_words(5, 0.2, 60, 9, 1, 0, False)
-        t40 = _draw_words(5, 0.2, 40, 9, 1, 0, False)
-        assert (t60[0][:40] == t40[0]).all()
-        assert (t60[1][:40] == t40[1]).all()
+        # the longer cell crosses a block boundary; the shorter ones do not
+        long = _draw_words(5, 0.2, _DRAW_BLOCK + 5, 9, 1, 0, False)
+        for trials in (40, _DRAW_BLOCK, _DRAW_BLOCK + 1):
+            short = _draw_words(5, 0.2, trials, 9, 1, 0, False)
+            assert (long[0][:trials] == short[0]).all()
+            assert (long[1][:trials] == short[1]).all()
+
+    @pytest.mark.parametrize("all_zero", [False, True])
+    def test_block_size_changes_nothing(self, monkeypatch, all_zero):
+        whole = _draw_words(6, 0.2, 100, 4, 1, 2, all_zero)
+        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", 7)
+        blocks = _draw_words(6, 0.2, 100, 4, 1, 2, all_zero)
+        assert (whole[0] == blocks[0]).all() and (whole[1] == blocks[1]).all()
+
+    def test_stream_calls_per_cell_are_constant(self, monkeypatch):
+        keys = []
+
+        def counting(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(lhzcode.sim, "stream", counting)
+        calls = []
+        for trials in (1, 50, 2 * _DRAW_BLOCK + 3):
+            for all_zero in (False, True):
+                keys.clear()
+                run_cell(5, 0.1, "majority", trials, 3, all_zero=all_zero)
+                calls.append(len(keys))
+        assert calls == [2] * 6
+        assert len(set(keys)) == 2  # one stream for the bits, one for the flips
+
+    def test_bit_and_flip_rates(self):
+        n, eps, trials = 20, 0.1, 3000
+        true, obs = _draw_words(n, eps, trials, 8, 1, 0, False)
+        # g_1j = b_1 ^ b_j: n-1 independent fair bits per trial
+        bits = true[:, : n - 1]
+        assert abs(bits.mean() - 0.5) < 5 * math.sqrt(0.25 / bits.size)
+        flips = true ^ obs
+        assert abs(flips.mean() - eps) < 5 * math.sqrt(eps * (1 - eps) / flips.size)
 
     def test_decoder_slot_changes_noise(self):
         a = _draw_words(5, 0.2, 30, 9, 1, 0, False)
@@ -182,15 +232,24 @@ class TestRunCell:
         exact = exact_majority_pair_fail(10, 0.1)
         assert abs(r.pair_fail_rate - exact) < 4 * math.sqrt(exact * (1 - exact) / 4000)
 
-    def test_shared_noise_pairs_decoders(self):
-        a = _draw_words(6, 0.2, 40, 3, 0, 0, False)
-        b = _draw_words(6, 0.2, 40, 3, 0, 0, False)
-        assert (a[1] == b[1]).all()
+    def test_shared_noise_pairs_decoders(self, monkeypatch):
+        seen = {}
+        decode = lhzcode.sim._decode_consecutive
+
+        def recording(obs, n, epsilon, decoder, *rest):
+            seen[decoder] = obs.copy()
+            return decode(obs, n, epsilon, decoder, *rest)
+
+        monkeypatch.setattr(lhzcode.sim, "_decode_consecutive", recording)
         mle = run_cell(6, 0.2, "mle", 800, 3, shared_noise=True)
         maj = run_cell(6, 0.2, "majority", 800, 3, shared_noise=True)
         bp = run_cell(6, 0.2, "bp", 800, 3, shared_noise=True)
+        assert (seen["majority"] == seen["mle"]).all() and (seen["bp"] == seen["mle"]).all()
         assert mle.failures <= maj.failures
         assert mle.failures <= bp.failures
+        # without shared noise each decoder has its own words
+        run_cell(6, 0.2, "majority", 800, 3)
+        assert not (seen["majority"] == seen["mle"]).all()
 
     def test_mle_capacity(self):
         from lhzcode import CapacityError
@@ -268,7 +327,7 @@ class TestRunSweep:
         assert "n=30" in err.message
 
     def test_cells_keyed_by_slot_not_sweep_shape(self):
-        # streams are keyed on (seed, decoder, n, eps slot, trial): adding
+        # streams are keyed on (seed, decoder, n, eps slot): adding
         # n values or decoders leaves a cell untouched, and a lone run_cell
         # with the matching eps slot reproduces the sweep's row exactly
         wide = run_sweep(
