@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from contextlib import nullcontext
@@ -111,6 +112,15 @@ def _open_out(path):
         return open(path, "w", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
+def _check_out(path) -> None:
+    """Refuse, before any work is done, an --out path that is neither a writable
+    file nor a new name in a writable directory; _open_out reports the rest."""
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write --out {path}: not a writable file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,6 +250,8 @@ def cmd_simulate(args) -> int:
         all_zero=args.all_zero,
         shared_noise=args.shared_noise,
     )
+    if args.out is not None:
+        _check_out(args.out)
     sweep = run_sweep(config, threads=args.threads)
     rows = [{c: getattr(r, c) for c in OUTPUT_COLUMNS} for r in sweep.rows]
     with _open_out(args.out) as stream_:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
@@ -127,48 +128,42 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 
 # ---------------------------------------------------------- message passing
 
-class _BpLayout(NamedTuple):
-    checks: np.ndarray    # (n_checks, max_weight) variable indices, padded with n_vars
-    slot_var: np.ndarray  # checks.ravel(): the variable each slot points at
-    adj: np.ndarray       # (n_vars, max_degree) slot indices, padded with checks.size
-
-
 @lru_cache(maxsize=None)
-def _bp_layout(graph: FactorGraph) -> _BpLayout:
-    """Flattened message layout: one padded check table, one slot per entry.
+def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
+    """Variable-major partner tables, (max_weight - 1, n_vars, max_degree),
+    by schedule: [j, v, k] is the j-th partner of variable v in its k-th
+    check, in check order, as a variable u (belief) or as the edge
+    u*max_degree + k' that u's message to that check comes from (extrinsic).
+    The two indices past a table's variables or edges stand for bias 1,
+    which pads short checks, and bias 0, which pads short adjacency rows,
+    whose message is then 0."""
+    nv, nc = graph.n_vars, graph.n_checks
+    lens = np.fromiter(map(len, graph.checks), dtype=np.intp, count=nc)
+    var = np.fromiter(chain.from_iterable(graph.checks), dtype=np.intp, count=int(lens.sum()))
+    # Edge e is position pos[e] of check chk[e]. Edges run check-major, so a
+    # stable sort by variable lists each variable's checks in check order.
+    chk = np.repeat(np.arange(nc), lens)
+    pos = np.arange(var.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    deg = np.bincount(var, minlength=nv)
+    d_max, w = max(1, int(deg.max(initial=0))), max(2, int(lens.max(initial=0)))
+    shift = np.arange(nv) * d_max - (np.cumsum(deg) - deg)  # edge id minus sorted place
+    edge = np.empty_like(var)
+    edge[np.argsort(var, kind="stable")] = np.arange(var.size) + np.repeat(shift, deg)
+    # Position i's partners, the longer of its prefix and reversed suffix
+    # first, so their left-to-right product rounds like a prefix times a
+    # suffix product up to weight 4: (x3*x2)*x1, (x3*x2)*x0, (x0*x1)*x3, (x0*x1)*x2.
+    fold = np.array([[*range(w - 1, i, -1), *range(i)] if 2 * i < w else [*range(i), *range(w - 1, i, -1)]
+                     for i in range(w)], dtype=np.intp)
 
-    Slot (check*max_weight + position) holds the message from that check to
-    the variable at that position. Short checks are padded with a phantom
-    variable n_vars whose bias is held at 1, so it leaves every exclusive
-    product unchanged. The padded adjacency gathers each real variable's
-    slots in check order; its padding points at the extra slot checks.size,
-    whose message stays 0.
-    """
-    w = max((len(c) for c in graph.checks), default=1)
-    checks = np.full((graph.n_checks, w), graph.n_vars, dtype=np.intp)
-    for ci, c in enumerate(graph.checks):
-        checks[ci, : len(c)] = c
-    checks.setflags(write=False)
-    incoming: list[list[int]] = [[] for _ in range(graph.n_vars + 1)]
-    for s, v in enumerate(checks.ravel().tolist()):
-        incoming[v].append(s)
-    incoming.pop()  # the phantom's slots are never read
-    dmax = max((len(s) for s in incoming), default=0)
-    adj = np.full((graph.n_vars, max(dmax, 1)), checks.size, dtype=np.intp)
-    for v, slots in enumerate(incoming):
-        adj[v, : len(slots)] = slots
-    adj.setflags(write=False)
-    return _BpLayout(checks, checks.ravel(), adj)
+    def partners(index: np.ndarray, n_src: int) -> np.ndarray:
+        table = np.full((nc, w), n_src)
+        table[chk, pos] = index
+        out = np.full((w - 1, nv * d_max), n_src + 1)
+        out[:, edge] = table[chk[:, None], fold[pos]].T
+        out.setflags(write=False)
+        return out.reshape(w - 1, nv, d_max)
 
-
-def _exclusive_prod(x: np.ndarray) -> np.ndarray:
-    """Along the last axis: product of all entries except the one in place."""
-    left = np.ones_like(x)
-    right = np.ones_like(x)
-    if x.shape[-1] > 1:
-        np.cumprod(x[..., :-1], axis=-1, out=left[..., 1:])
-        np.cumprod(x[..., :0:-1], axis=-1, out=right[..., -2::-1])
-    return left * right
+    return {"belief": partners(var, nv), "extrinsic": partners(edge, nv * d_max)}
 
 
 def _exclusive_sum(x: np.ndarray) -> np.ndarray:
@@ -210,40 +205,32 @@ def _bp_batch(
     Returns (final p0, hard words, converged flags). All trials run the
     full iteration count; the flag just records whether the last round
     still changed anything. Every message is one log-likelihood ratio
-    log(p0/p1) per edge slot: a check sends log1p(d) - log1p(-d) for the
-    exclusive product d of its other neighbours' biases (the tanh rule),
-    and a variable sums its prior LLR with its incoming ones, so
+    log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the product
+    d of its other neighbours' biases, read through the partner tables (the
+    tanh rule), and a variable sums its prior LLR with its incoming ones, so
     high-degree graphs cannot underflow.
     """
-    layout = _bp_layout(graph)
+    partners = _bp_layout(graph)[schedule]
     t, nv = p0.shape
     p0 = p0.astype(np.float64, copy=True)
     with np.errstate(divide="ignore"):
         lprior = np.log(p0) - np.log1p(-p0)
-    # One LLR log(p0/p1) per slot; the trailing pad slot stays 0 so padded
-    # adjacency rows contribute nothing.
-    msg = np.zeros((t, layout.slot_var.size + 1))
-    # Bias d = p0 - p1 per variable plus the phantom, whose bias stays 1.
-    bias = np.ones((t, nv + 1))
-    bias[:, :nv] = 2.0 * p0 - 1.0
+    # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
+    # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
+    src = np.empty((t, (nv if schedule == "belief" else partners[0].size) + 2))
+    src[:, -2:] = 1.0, 0.0
     if schedule == "extrinsic":
-        # Variable-to-check bias per slot (the message travelling against the
-        # slot's direction), starting at the prior; the extra slot takes the
-        # padded adjacency's writes.
-        mu_d = np.ones((t, layout.slot_var.size + 1))
-        mu_d[:, :-1] = bias[:, layout.slot_var]
+        src[:, :-2] = np.repeat(2.0 * p0 - 1.0, partners.shape[2], axis=1)
     hard_prev = _hard(p0, observed)
     converged = np.ones(t, dtype=bool)
     for _ in range(iterations):
         if schedule == "belief":
-            bias[:, :nv] = 2.0 * p0 - 1.0
-            dn = bias[:, layout.checks]
-        else:
-            dn = mu_d[:, :-1].reshape(t, *layout.checks.shape)
-        out_d = _exclusive_prod(dn).reshape(t, layout.slot_var.size)
+            src[:, :nv] = 2.0 * p0 - 1.0
+        d = src[:, partners[0]]
+        for p in partners[1:]:
+            d *= src[:, p]
         with np.errstate(divide="ignore"):
-            msg[:, :-1] = np.log1p(out_d) - np.log1p(-out_d)
-        g = msg[:, layout.adj]
+            g = np.log1p(d) - np.log1p(-d)
         with np.errstate(invalid="ignore"):
             llr = lprior + g.sum(axis=2)
         # +inf meeting -inf: hard evidence for both values of one variable.
@@ -254,7 +241,7 @@ def _bp_batch(
         np.clip(p0, _CLAMP, 1.0 - _CLAMP, out=p0)
         if schedule == "extrinsic":
             le = lprior[:, :, None] + _exclusive_sum(g)
-            mu_d[:, layout.adj] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX)
+            src[:, :-2] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX).reshape(t, -1)
         hard = _hard(p0, observed)
         converged = (hard == hard_prev).all(axis=1)
         hard_prev = hard

@@ -55,7 +55,7 @@ GRAPH_KINDS = tuple(_GRAPHS)
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
 _DRAW_BLOCK = 1024      # trials per encode/flip call, keeps the uniforms ~6 MB at n=40
-_BP_TRIAL_CHUNK = 256   # trials per message-passing batch, keeps arrays ~100 MB
+_BP_TRIAL_CHUNK = 32    # trials per message-passing batch, keeps its per-edge arrays ~8 MB at n=40
 
 
 def _check_count(name: str, value, least: int) -> None:

@@ -2,15 +2,18 @@
 
 Everything here is deliberately naive: exhaustive enumeration and dict-based
 message passing, no shared code with the package internals beyond the public
-FactorGraph/syndrome/encode surface.
+FactorGraph/syndrome/encode surface. The one exception is the slot-major LLR
+engine at the end, the vectorised engine's bit-exact oracle.
 """
 
 import itertools
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from lhzcode import encode, pair_index, syndrome
+from lhzcode import FactorGraph, InconsistentEvidenceError, encode, pair_index, syndrome
 
 
 def exact_marginals(graph, priors):
@@ -153,3 +156,145 @@ def nearest_codeword_bruteforce(word, n):
         if best is None or d < best[0]:
             best = (d, b)
     return best[1]
+
+
+# ------------------------------------------- slot-major LLR engine (oracle)
+#
+# The engine message passing ran before the variable-major partner tables:
+# a check gathers its biases, takes two cumulative products and writes one
+# message per (check, position) slot, which each variable gathers back. The
+# variable-major engine must reproduce it bit for bit on checks of weight
+# <= 4.
+
+class _BpLayout(NamedTuple):
+    checks: np.ndarray    # (n_checks, max_weight) variable indices, padded with n_vars
+    slot_var: np.ndarray  # checks.ravel(): the variable each slot points at
+    adj: np.ndarray       # (n_vars, max_degree) slot indices, padded with checks.size
+
+
+@lru_cache(maxsize=None)
+def _bp_layout(graph: FactorGraph) -> _BpLayout:
+    """Flattened message layout: one padded check table, one slot per entry.
+
+    Slot (check*max_weight + position) holds the message from that check to
+    the variable at that position. Short checks are padded with a phantom
+    variable n_vars whose bias is held at 1, so it leaves every exclusive
+    product unchanged. The padded adjacency gathers each real variable's
+    slots in check order; its padding points at the extra slot checks.size,
+    whose message stays 0.
+    """
+    w = max((len(c) for c in graph.checks), default=1)
+    checks = np.full((graph.n_checks, w), graph.n_vars, dtype=np.intp)
+    for ci, c in enumerate(graph.checks):
+        checks[ci, : len(c)] = c
+    checks.setflags(write=False)
+    incoming: list[list[int]] = [[] for _ in range(graph.n_vars + 1)]
+    for s, v in enumerate(checks.ravel().tolist()):
+        incoming[v].append(s)
+    incoming.pop()  # the phantom's slots are never read
+    dmax = max((len(s) for s in incoming), default=0)
+    adj = np.full((graph.n_vars, max(dmax, 1)), checks.size, dtype=np.intp)
+    for v, slots in enumerate(incoming):
+        adj[v, : len(slots)] = slots
+    adj.setflags(write=False)
+    return _BpLayout(checks, checks.ravel(), adj)
+
+
+def _exclusive_prod(x: np.ndarray) -> np.ndarray:
+    """Along the last axis: product of all entries except the one in place."""
+    left = np.ones_like(x)
+    right = np.ones_like(x)
+    if x.shape[-1] > 1:
+        np.cumprod(x[..., :-1], axis=-1, out=left[..., 1:])
+        np.cumprod(x[..., :0:-1], axis=-1, out=right[..., -2::-1])
+    return left * right
+
+
+def _exclusive_sum(x: np.ndarray) -> np.ndarray:
+    """Along the last axis: sum of all entries except the one in place.
+
+    Built from prefix/suffix sums, no subtraction, so infinite entries
+    poison only the positions that should see them.
+    """
+    left = np.zeros_like(x)
+    right = np.zeros_like(x)
+    if x.shape[-1] > 1:
+        np.cumsum(x[..., :-1], axis=-1, out=left[..., 1:])
+        np.cumsum(x[..., :0:-1], axis=-1, out=right[..., -2::-1])
+    return left + right
+
+
+def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Hard decisions from p0; exact ties keep the observed bit."""
+    return np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, observed)).astype(np.uint8)
+
+
+# Iterated beliefs are clamped one ulp inside (0, 1), and extrinsic biases to
+# the matching bound on d = 2 p0 - 1. Saturation then never manufactures
+# exactly-hard messages, so cancelled mass can only come from genuinely
+# contradictory hard priors.
+_CLAMP = 2.0 ** -53
+_BIAS_MAX = 1.0 - 2.0 * _CLAMP
+
+
+def slot_major_bp_batch(
+    graph: FactorGraph,
+    p0: np.ndarray,
+    observed: np.ndarray,
+    iterations: int,
+    schedule: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run message passing on a (trials, n_vars) batch.
+
+    Returns (final p0, hard words, converged flags). All trials run the
+    full iteration count; the flag just records whether the last round
+    still changed anything. Every message is one log-likelihood ratio
+    log(p0/p1) per edge slot: a check sends log1p(d) - log1p(-d) for the
+    exclusive product d of its other neighbours' biases (the tanh rule),
+    and a variable sums its prior LLR with its incoming ones, so
+    high-degree graphs cannot underflow.
+    """
+    layout = _bp_layout(graph)
+    t, nv = p0.shape
+    p0 = p0.astype(np.float64, copy=True)
+    with np.errstate(divide="ignore"):
+        lprior = np.log(p0) - np.log1p(-p0)
+    # One LLR log(p0/p1) per slot; the trailing pad slot stays 0 so padded
+    # adjacency rows contribute nothing.
+    msg = np.zeros((t, layout.slot_var.size + 1))
+    # Bias d = p0 - p1 per variable plus the phantom, whose bias stays 1.
+    bias = np.ones((t, nv + 1))
+    bias[:, :nv] = 2.0 * p0 - 1.0
+    if schedule == "extrinsic":
+        # Variable-to-check bias per slot (the message travelling against the
+        # slot's direction), starting at the prior; the extra slot takes the
+        # padded adjacency's writes.
+        mu_d = np.ones((t, layout.slot_var.size + 1))
+        mu_d[:, :-1] = bias[:, layout.slot_var]
+    hard_prev = _hard(p0, observed)
+    converged = np.ones(t, dtype=bool)
+    for _ in range(iterations):
+        if schedule == "belief":
+            bias[:, :nv] = 2.0 * p0 - 1.0
+            dn = bias[:, layout.checks]
+        else:
+            dn = mu_d[:, :-1].reshape(t, *layout.checks.shape)
+        out_d = _exclusive_prod(dn).reshape(t, layout.slot_var.size)
+        with np.errstate(divide="ignore"):
+            msg[:, :-1] = np.log1p(out_d) - np.log1p(-out_d)
+        g = msg[:, layout.adj]
+        with np.errstate(invalid="ignore"):
+            llr = lprior + g.sum(axis=2)
+        # +inf meeting -inf: hard evidence for both values of one variable.
+        if np.isnan(llr).any():
+            raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
+        with np.errstate(over="ignore"):
+            p0 = 1.0 / (1.0 + np.exp(-llr))
+        np.clip(p0, _CLAMP, 1.0 - _CLAMP, out=p0)
+        if schedule == "extrinsic":
+            le = lprior[:, :, None] + _exclusive_sum(g)
+            mu_d[:, layout.adj] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX)
+        hard = _hard(p0, observed)
+        converged = (hard == hard_prev).all(axis=1)
+        hard_prev = hard
+    return p0, hard_prev, converged

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import lhzcode.cli
+from lhzcode import InconsistentEvidenceError
 from lhzcode.cli import OUTPUT_COLUMNS, main
 
 FLOAT_COLUMNS = {"epsilon", "p_fail", "stderr", "chernoff", "union_bound"}
@@ -242,11 +244,26 @@ class TestBoundCmd:
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--trials", "5", "--seed", "1"], ["bound"]], ids=["simulate", "bound"])
-def test_unwritable_out(capsys, tmp_path, argv):
-    path = tmp_path / "missing" / "rows.csv"
-    code, out, err = run_cli(capsys, *argv, "--n", "4", "--eps", "0.1", "--out", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: cannot write --out") and str(path) in err
+def test_unwritable_out(capsys, tmp_path, monkeypatch, argv):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(lhzcode.cli, "run_sweep", sweep)
+    for path in (tmp_path / "missing" / "rows.csv", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--n", "4", "--eps", "0.1", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write --out") and str(path) in err
+
+
+def test_failed_sweep_leaves_no_out_file(capsys, tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise InconsistentEvidenceError("conflicting hard evidence")
+
+    monkeypatch.setattr(lhzcode.cli, "run_sweep", sweep)
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--n", "4", "--eps", "0.1", "--seed", "1", "--out", str(path))
+    assert (code, out) == (1, "") and "conflicting hard evidence" in err
+    assert not path.exists()
 
 
 class TestTopLevel:

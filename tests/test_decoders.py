@@ -24,6 +24,7 @@ from lhzcode import (
     logical_readout,
     majority_vote_decode,
     mle_decode,
+    num_logical,
     pair_index,
     stream,
     syndrome,
@@ -37,6 +38,7 @@ from reference import (
     naive_belief_bp,
     naive_extrinsic_bp,
     nearest_codeword_bruteforce,
+    slot_major_bp_batch,
     vote_majority,
 )
 
@@ -175,8 +177,9 @@ class TestBpAgainstNaive:
             hamming_7_4(),
             FactorGraph(3, ((0, 1), (1, 2))),
             FactorGraph(1, ()),
+            FactorGraph(7, ((0, 1, 2, 3, 4, 5), (2, 6))),
         ],
-        ids=["tri4", "tri5", "planar5", "hamming", "chain", "empty"],
+        ids=["tri4", "tri5", "planar5", "hamming", "chain", "empty", "weight6"],
     )
     def test_engine_matches_reference(self, graph, iterations, schedule):
         rng = stream(2024, graph.n_vars, iterations, {"belief": 1, "extrinsic": 2}[schedule])
@@ -207,6 +210,58 @@ class TestBpAgainstNaive:
         out = bp_decode(graph, priors, iterations=iterations, schedule=schedule)
         assert hard.any()
         assert np.abs(out.beliefs - ref(graph, priors, iterations)).max() < 1e-12
+
+
+_MIXED = FactorGraph(6, ((0, 1), (1, 2, 3), (0, 2, 4, 5), (3,), (4, 5)))
+
+
+def _codeword(graph, rng):
+    """A random codeword: encoded logical bits on the pairwise-parity graphs,
+    one of the enumerated codewords on the small fixtures."""
+    if graph in (hamming_7_4(), _MIXED):
+        words = sorted(enumerate_codewords(graph))
+        return np.array(words[rng.integers(len(words))], dtype=np.uint8)
+    return encode(rng.integers(0, 2, num_logical(graph.n_vars), dtype=np.uint8))
+
+
+class TestBpAgainstSlotMajor:
+    """The variable-major engine against the slot-major one it replaced,
+    bit for bit: every graph here has checks of weight <= 4."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "graph",
+        [triangle_graph(n) for n in range(3, 13)]
+        + [planar_lhz_graph(n) for n in range(3, 21)]
+        + [hamming_7_4(), _MIXED],
+        ids=[f"tri{n}" for n in range(3, 13)] + [f"planar{n}" for n in range(3, 21)] + ["hamming", "mixed"],
+    )
+    def test_bit_identical(self, graph, schedule):
+        rng = stream(2026, graph.n_vars, graph.n_checks, {"belief": 1, "extrinsic": 2}[schedule])
+        t = 8
+        observed = rng.integers(0, 2, (t, graph.n_vars), dtype=np.uint8)
+        word = np.stack([_codeword(graph, rng) for _ in range(t)])
+        hard = rng.random((t, graph.n_vars)) < 0.3
+        priors = {
+            "channel": np.where(observed == 0, 0.9, 0.1),
+            "uniform": rng.uniform(0.02, 0.98, (t, graph.n_vars)),
+            # exactly-hard rows of a codeword next to soft ones ...
+            "hard": np.where(hard, 1.0 - word, rng.uniform(0.02, 0.98, (t, graph.n_vars))),
+            # ... and of a random word, which may contradict a check
+            "conflict": np.where(hard, 1.0 - observed, 0.5),
+        }
+        for iterations in (1, 3, 6):
+            for kind, p0 in priors.items():
+                runs = []
+                for engine in (_bp_batch, slot_major_bp_batch):
+                    try:
+                        runs.append(engine(graph, p0, observed, iterations, schedule))
+                    except InconsistentEvidenceError:
+                        runs.append(None)
+                new, old = runs
+                assert (new is None) == (old is None), (kind, iterations)
+                for a, b in zip(new or (), old or ()):
+                    assert (a == b).all(), (kind, iterations)
 
 
 class TestBpTreeExactness:

@@ -60,17 +60,22 @@ class TestFactorGraph:
             assert syndrome(fg, w).tolist() == (h @ w % 2).tolist()
 
     def test_adjacency(self):
-        # one padded check table: short checks end in the phantom variable
-        # n_vars, slot (check*3 + position) is that entry, and each variable
-        # gathers its slots in check order, padded with the pad slot 9
+        # [j, v, k]: partner j of variable v in its k-th check, in check
+        # order. Checks (0,1) and (0,3) are padded to weight 3 with the bias-1
+        # index (variable 4, edge 8); variable 2 sits in one check, so its
+        # second row is the bias-0 index (variable 5, edge 9) throughout.
+        # Edges are v*2 + k: 0,1 | 2,3 | 4,(5) | 6,7.
         fg = FactorGraph(4, ((0, 1), (1, 2, 3), (0, 3)))
         layout = _bp_layout(fg)
-        assert layout.checks.tolist() == [[0, 1, 4], [1, 2, 3], [0, 3, 4]]
-        assert layout.slot_var.tolist() == [0, 1, 4, 1, 2, 3, 0, 3, 4]
-        assert layout.adj.tolist() == [[0, 6], [1, 3], [4, 9], [5, 7]]
-        # the phantom's slots are never gathered; the pad slot is neutral
-        # and the phantom's bias of 1 leaves the weight-2 checks exact
-        assert not np.isin(np.flatnonzero(layout.slot_var == fg.n_vars), layout.adj).any()
+        assert layout["belief"].tolist() == [
+            [[4, 4], [4, 3], [3, 5], [1, 4]],
+            [[1, 3], [0, 2], [1, 5], [2, 0]],
+        ]
+        assert layout["extrinsic"].tolist() == [
+            [[8, 8], [8, 6], [6, 9], [3, 8]],
+            [[2, 7], [0, 4], [3, 9], [4, 1]],
+        ]
+        # bias 1 leaves the weight-2 checks exact, bias 0 sends message 0
         p = np.array([0.9, 0.3, 0.65, 0.2])
         priors = np.stack([p, 1 - p], axis=1)
         for schedule, ref in zip(SCHEDULES, (naive_belief_bp, naive_extrinsic_bp)):
