@@ -144,17 +144,6 @@ class TestDrawWords:
         blocks = _draw_words(6, 0.2, 100, 4, 1, 2, all_zero)
         assert (whole[0] == blocks[0]).all() and (whole[1] == blocks[1]).all()
 
-    @pytest.mark.parametrize("graph,schedule,n", [("triangle", "belief", 7), ("planar", "extrinsic", 8)])
-    def test_bp_trial_chunk_changes_nothing(self, monkeypatch, graph, schedule, n):
-        def cell():
-            r = run_cell(n, 0.15, "bp", 100, 5, graph=graph, schedule=schedule)
-            return r, r.pair_failures
-
-        whole = cell()
-        for chunk in (7, 1024):
-            monkeypatch.setattr(lhzcode.sim, "_BP_TRIAL_CHUNK", chunk)
-            assert cell() == whole
-
     def test_stream_calls_per_cell_are_constant(self, monkeypatch):
         keys = []
 
@@ -201,6 +190,17 @@ class TestDrawWords:
 
 
 class TestRunCell:
+    @pytest.mark.parametrize("graph,schedule,n", [("triangle", "belief", 7), ("planar", "extrinsic", 8)])
+    def test_bp_trial_chunk_changes_nothing(self, monkeypatch, graph, schedule, n):
+        def cell():
+            r = run_cell(n, 0.15, "bp", 100, 5, graph=graph, schedule=schedule)
+            return r, r.pair_failures
+
+        whole = cell()
+        for chunk in (7, 1024):
+            monkeypatch.setattr(lhzcode.sim, "_BP_TRIAL_CHUNK", chunk)
+            assert cell() == whole
+
     def test_deterministic(self):
         a = run_cell(6, 0.15, "bp", 300, 21)
         b = run_cell(6, 0.15, "bp", 300, 21)
