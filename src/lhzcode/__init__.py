@@ -31,7 +31,6 @@ from .decoders import (
 from .errors import (
     CapacityError,
     ConfigError,
-    DegenerateSizeError,
     DimensionError,
     InconsistentEvidenceError,
     InvalidPairError,

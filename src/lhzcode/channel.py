@@ -7,15 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import as_bits
-from .errors import ConfigError
+from .errors import check_count, check_epsilon, check_type
 
-__all__ = ["check_epsilon", "NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
-
-
-def check_epsilon(epsilon: float) -> None:
-    """The one flip-probability rule: epsilon must lie in [0, 1/2]."""
-    if not 0.0 <= epsilon <= 0.5:
-        raise ConfigError(f"epsilon must lie in [0, 1/2], got {epsilon}")
+__all__ = ["NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +31,8 @@ def stream(master_seed: int, *subkeys: int) -> np.random.Generator:
     because SeedSequence zero-pads its entropy, which would otherwise
     alias (s,) with (s, 0). Keys must be nonnegative ints.
     """
+    for k in (master_seed, *subkeys):
+        check_count("stream key", k, 0)
     key = (int(master_seed), len(subkeys)) + tuple(int(s) for s in subkeys)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
@@ -48,12 +44,15 @@ def apply_iid_flip(g, model: NoiseModel, rng: np.random.Generator) -> np.ndarray
     uniforms from rng, in row-major order, so a batch flips the same bits
     as its rows flipped one after another from the same rng.
     """
+    check_type("model", model, NoiseModel)
+    check_type("rng", rng, np.random.Generator)
     g = as_bits(g, batch=True)
     return g ^ (rng.random(g.shape) < model.epsilon)
 
 
 def channel_prior(g_obs, model: NoiseModel) -> np.ndarray:
     """Per-variable (p0, p1) rows: the observed value holds with prob 1 - epsilon."""
+    check_type("model", model, NoiseModel)
     g = as_bits(g_obs)
     p0 = np.where(g == 0, 1.0 - model.epsilon, model.epsilon)
     return np.stack([p0, 1.0 - p0], axis=1)

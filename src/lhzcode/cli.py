@@ -172,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_graph(args) -> int:
+    if (args.kind == "hamming") != (args.n is None):
+        raise ConfigError(f"graph {args.kind} {'takes no' if args.n is not None else 'needs'} --n")
     if args.kind == "hamming":
         fg = hamming_7_4()
         pairs = None
     else:
-        if args.n is None:
-            raise ConfigError(f"graph {args.kind} needs --n")
         fg = graph_for(args.kind, args.n)
         pairs = pair_table(args.n)
     if args.format == "json":

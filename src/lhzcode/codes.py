@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InvalidPairError
+from .errors import ConfigError, DimensionError, InvalidPairError, check_count
 
 __all__ = [
     "num_pairs",
@@ -32,14 +32,19 @@ __all__ = [
     "logical_from_consecutive",
 ]
 
+# Largest n whose k = n(n-1)/2 fits np.intp; words and pair tables need it.
+MAX_N = (1 + math.isqrt(1 + 8 * int(np.iinfo(np.intp).max))) // 2
+
 
 def num_pairs(n: int) -> int:
     """Number of physical bits for n logical bits."""
+    check_count("n", n, 2)
     return n * (n - 1) // 2
 
 
 def num_logical(k: int) -> int:
     """Invert k = n(n-1)/2. Raises DimensionError if k is not a pair count."""
+    check_count("k", k, 0)
     n = (1 + math.isqrt(1 + 8 * k)) // 2
     if n < 2 or num_pairs(n) != k:
         raise DimensionError(f"word length {k} is not n(n-1)/2 for any n >= 2")
@@ -48,6 +53,8 @@ def num_logical(k: int) -> int:
 
 def pair_index(i: int, j: int, n: int) -> int:
     """Linear index of the pair (i, j) with 1 <= i < j <= n."""
+    for name, v in (("i", i), ("j", j), ("n", n)):
+        check_count(name, v)
     if not 1 <= i < j <= n:
         raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
@@ -55,14 +62,17 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 def index_pair(k: int, n: int) -> tuple[int, int]:
     """Pair (i, j) sitting at linear index k; inverse of pair_index."""
+    check_count("k", k)
     if not 0 <= k < num_pairs(n):
         raise InvalidPairError(f"index {k} out of range for n={n} ({num_pairs(n)} pairs)")
-    return pair_table(n)[k]
+    # Row i is the least with (n-i)(n-i+1)/2 above the count of pairs after k.
+    i = n - (math.isqrt(8 * (num_pairs(n) - 1 - k) + 1) + 1) // 2
+    return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
-@lru_cache(maxsize=None)
 def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), 1 <= i < j <= n, in linear index order."""
+    check_count("n", n, 2, MAX_N)
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
@@ -81,7 +91,10 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
         if not set(seq) <= {"0", "1"}:
             raise ConfigError(f"bit string may only contain 0 and 1, got {seq!r}")
         seq = [int(c) for c in seq]
-    a = np.asarray(seq)
+    try:
+        a = np.asarray(seq)
+    except ValueError:
+        raise ConfigError("bits must form a rectangular array") from None
     if a.ndim != 1 and not (batch and a.ndim == 2):
         raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
     if not np.all((a == 0) | (a == 1)):
@@ -112,12 +125,11 @@ def logical_readout(g) -> np.ndarray:
     return b
 
 
-@lru_cache(maxsize=None)
 def consecutive_indices(n: int) -> np.ndarray:
     """Linear indices of the consecutive pairs (1,2), (2,3), ..., (n-1,n)."""
-    idx = np.array([pair_index(i, i + 1, n) for i in range(1, n)], dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
+    check_count("n", n, 2, MAX_N)
+    i = np.arange(1, n, dtype=np.intp)
+    return (i - 1) * (2 * n - i) // 2
 
 
 def consecutive_bits(g) -> np.ndarray:

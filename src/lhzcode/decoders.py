@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import NoiseModel, check_epsilon
+from .channel import NoiseModel
 from .codes import (
     as_bits,
     consecutive_indices,
@@ -33,6 +33,7 @@ from .codes import (
     pair_index,
 )
 from .errors import CapacityError, ConfigError, DimensionError, InconsistentEvidenceError
+from .errors import check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph
 
 __all__ = [
@@ -99,8 +100,6 @@ def _vote_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarray:
     """Majority decisions for the consecutive bits, (trials, n-1)."""
     observed = words[:, consecutive_indices(n)]
-    if n == 2:
-        return observed.copy()
     a, b = _vote_index_arrays(n)
     ones = (words[:, a] ^ words[:, b]).sum(axis=2, dtype=np.int64)
     total = n - 2
@@ -270,15 +269,17 @@ def bp_decode(
                  excludes that check's own previous message. Exact on
                  cycle-free graphs once messages have crossed the diameter.
     """
-    priors = np.asarray(priors, dtype=np.float64)
+    check_type("graph", graph, FactorGraph)
+    check_count("iterations", iterations, 1)
+    check_choice("schedule", schedule, SCHEDULES)
+    try:
+        priors = np.asarray(priors, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError("priors must be a rectangular table of numbers") from None
     if priors.shape != (graph.n_vars, 2):
         raise DimensionError(f"priors must have shape ({graph.n_vars}, 2), got {priors.shape}")
-    if not np.allclose(priors.sum(axis=1), 1.0, atol=1e-9):
-        raise ConfigError("each prior row must sum to 1")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be positive, got {iterations}")
-    if schedule not in SCHEDULES:
-        raise ConfigError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES}")
+    if not ((priors >= 0.0) & (priors <= 1.0)).all() or not np.allclose(priors.sum(axis=1), 1.0, atol=1e-9):
+        raise ConfigError("each prior row must lie in [0, 1] and sum to 1")
     p0 = priors[:, 0][None, :]
     if observed is None:
         obs = (priors[:, 0] < 0.5).astype(np.uint8)[None, :]
@@ -352,6 +353,7 @@ def mle_decode(g_obs, model: NoiseModel) -> DecodeOutcome:
     is equally likely, so the all-zero word is returned with the
     degenerate flag set, at any n, since nothing is searched.
     """
+    check_type("model", model, NoiseModel)
     g = as_bits(g_obs)
     n = num_logical(g.size)
     degenerate = model.epsilon == 0.5

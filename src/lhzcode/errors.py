@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one home of each input rule that every public
+entry point checks with: integers, flip probabilities, table choices and
+object types. A broken rule raises ConfigError."""
+
+import numbers
 
 
 class LhzError(Exception):
@@ -10,17 +14,14 @@ class InvalidPairError(LhzError, ValueError):
 
 
 class ConfigError(LhzError, ValueError):
-    """A value outside its domain: size, epsilon, decoder, graph, schedule, counts,
-    bits, prior rows, check indices, an unreadable command line number, or an
-    output path that cannot be opened for writing."""
+    """A value of the wrong type or outside its domain: a size, count or key,
+    epsilon, decoder, graph, schedule, a typed model/graph/config/generator,
+    bits, ragged arrays, prior rows, check indices, an unreadable command
+    line number, or an output path that cannot be opened for writing."""
 
 
 class DimensionError(LhzError, ValueError):
     """A word length that does not match the expected layout."""
-
-
-class DegenerateSizeError(LhzError, ValueError):
-    """Graph construction asked for an n too small to have any checks."""
 
 
 class CapacityError(LhzError, RuntimeError):
@@ -29,3 +30,35 @@ class CapacityError(LhzError, RuntimeError):
 
 class InconsistentEvidenceError(LhzError, RuntimeError):
     """All probability mass cancelled during a belief update (conflicting hard evidence)."""
+
+
+def check_count(name: str, value, least=None, most=None) -> None:
+    """The one integer rule: an int or numpy integer, never a bool or a float,
+    and within [least, most] where those are given."""
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+            or (least is not None and value < least) or (most is not None and value > most)):
+        limits = " and ".join(f"{op} {b}" for op, b in ((">=", least), ("<=", most)) if b is not None)
+        raise ConfigError(f"need an integer {name} {limits}".rstrip() + f", got {value!r}")
+
+
+def check_epsilon(epsilon) -> None:
+    """The one flip-probability rule: a real number, not a bool, in [0, 1/2]."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon <= 0.5:
+        raise ConfigError(f"epsilon must be a real number in [0, 1/2], got {epsilon!r}")
+
+
+def check_choice(name: str, value, options) -> None:
+    """The one table-lookup rule: value is one of options (unhashables never are)."""
+    try:
+        hash(value)  # an array would compare elementwise; no table holds one
+        known = value in options
+    except TypeError:
+        known = False
+    if not known:
+        raise ConfigError(f"unknown {name} {value!r}, expected one of {sorted(options)}")
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """The one object rule: a parameter typed as cls takes only a cls."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import as_bits, num_pairs, pair_index
-from .errors import CapacityError, ConfigError, DegenerateSizeError, DimensionError
+from .codes import MAX_N, as_bits, num_pairs, pair_index
+from .errors import CapacityError, ConfigError, DimensionError, check_count, check_type
 
 __all__ = [
     "FactorGraph",
@@ -36,14 +36,14 @@ class FactorGraph:
     checks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n_vars < 0:
-            raise ConfigError(f"n_vars must be nonnegative, got {self.n_vars}")
+        check_count("n_vars", self.n_vars, 0)
+        check_type("checks", self.checks, tuple)
         for c in self.checks:
+            check_type("check", c, tuple)
+            for v in c:
+                check_count("check variable", v, 0, self.n_vars - 1)
             if len(set(c)) != len(c):
                 raise ConfigError(f"check {c} touches a variable twice")
-            for v in c:
-                if not 0 <= v < self.n_vars:
-                    raise ConfigError(f"check {c} references variable {v} outside [0, {self.n_vars})")
 
     @property
     def n_checks(self) -> int:
@@ -58,15 +58,18 @@ def hamming_7_4() -> FactorGraph:
     return FactorGraph(7, ((0, 1, 2, 4), (1, 2, 3, 5), (2, 3, 4, 6)))
 
 
-@lru_cache(maxsize=None)
 def triangle_graph(n: int) -> FactorGraph:
     """All C(n,3) weight-3 checks g_ij + g_ik + g_jk = 0 (mod 2).
 
     Heavily redundant: every variable sits in n-2 triangles, while only
-    k - n + 1 checks are independent.
+    k - n + 1 checks are independent. At n = 2 there are none.
     """
-    if n < 3:
-        raise DegenerateSizeError(f"no triangles below n=3, got n={n}")
+    check_count("n", n, 2, MAX_N)
+    return _triangle_graph(n)
+
+
+@lru_cache(maxsize=None)
+def _triangle_graph(n: int) -> FactorGraph:
     checks = tuple(
         (pair_index(i, j, n), pair_index(i, k, n), pair_index(j, k, n))
         for i, j, k in combinations(range(1, n + 1), 3)
@@ -74,7 +77,6 @@ def triangle_graph(n: int) -> FactorGraph:
     return FactorGraph(num_pairs(n), checks)
 
 
-@lru_cache(maxsize=None)
 def planar_lhz_graph(n: int) -> FactorGraph:
     """The planar constraint subset: n-2 boundary triangles, then plaquettes.
 
@@ -82,10 +84,14 @@ def planar_lhz_graph(n: int) -> FactorGraph:
     Plaquette (i,j) for 1 <= i, i+2 <= j <= n-1 ties the four corners
     (i,j), (i,j+1), (i+1,j), (i+1,j+1), emitted row-major in (i, j).
     Total k - n + 1 checks, which is exactly the GF(2) rank, so none is
-    redundant.
+    redundant; at n = 2 that is none.
     """
-    if n < 3:
-        raise DegenerateSizeError(f"no constraints below n=3, got n={n}")
+    check_count("n", n, 2, MAX_N)
+    return _planar_lhz_graph(n)
+
+
+@lru_cache(maxsize=None)
+def _planar_lhz_graph(n: int) -> FactorGraph:
     checks: list[tuple[int, ...]] = []
     for i in range(1, n - 1):
         checks.append((pair_index(i, i + 1, n), pair_index(i, i + 2, n), pair_index(i + 1, i + 2, n)))
@@ -104,6 +110,7 @@ def planar_lhz_graph(n: int) -> FactorGraph:
 
 def syndrome(graph: FactorGraph, word) -> np.ndarray:
     """Parity of each check on the given word; all zeros iff a codeword."""
+    check_type("graph", graph, FactorGraph)
     w = as_bits(word)
     if w.size != graph.n_vars:
         raise DimensionError(f"word length {w.size} does not match {graph.n_vars} variables")
@@ -126,6 +133,7 @@ def _packed_rows(graph: FactorGraph) -> list[int]:
 
 def gf2_rank(graph: FactorGraph) -> int:
     """Rank of the check matrix over GF(2), by elimination on bit-packed rows."""
+    check_type("graph", graph, FactorGraph)
     pivots: dict[int, int] = {}
     for row in _packed_rows(graph):
         while row:
@@ -144,6 +152,8 @@ def enumerate_codewords(graph: FactorGraph, max_vars: int = 24) -> set[tuple[int
     Builds a nullspace basis by Gauss-Jordan elimination, then expands all
     2^(n_vars - rank) combinations. Refuses graphs wider than max_vars.
     """
+    check_type("graph", graph, FactorGraph)
+    check_count("max_vars", max_vars, 0)
     n = graph.n_vars
     if n > max_vars:
         raise CapacityError(f"enumeration over {n} variables exceeds the {max_vars}-variable limit")

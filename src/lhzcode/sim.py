@@ -13,16 +13,14 @@ in trials and byte-identical under any block size, cell order, or threads.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import NoiseModel, apply_iid_flip, check_epsilon, stream
-from .codes import consecutive_indices, encode, num_pairs
+from .channel import NoiseModel, apply_iid_flip, stream
+from .codes import MAX_N, consecutive_indices, encode, num_pairs
 from .decoders import (
     SCHEDULES,
     _bp_batch,
@@ -30,7 +28,7 @@ from .decoders import (
     _mle_batch,
     epsilon_star,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
 __all__ = [
@@ -58,20 +56,13 @@ _DRAW_BLOCK = 1024      # trials per encode/flip call, keeps the uniforms ~6 MB 
 _BP_TRIAL_CHUNK = 32    # trials per message-passing batch, keeps its per-edge arrays ~8 MB at n=40
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """The one rule for sizes, counts and keys: an integer (not a bool or a
-    float) of at least `least`. A pairwise-parity word needs n >= 2."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"need an integer {name} >= {least}, got {value!r}")
-
-
 def chernoff_bound(n: int, epsilon: float) -> float:
     """Analytic bound on one consecutive bit's majority failure.
 
     exp(-2 (n-2) (1/2 - eps*)^2) with eps* = 2 eps (1 - eps): Hoeffding on
     the n-2 indirect votes, each an independent two-bit parity.
     """
-    _check_count("n", n, 2)
+    check_count("n", n, 2)
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
@@ -81,15 +72,16 @@ def union_bound(n: int, epsilon: float) -> float:
 
     Values above 1 are returned as-is; a vacuous bound is still a bound.
     """
-    return (n - 1) * chernoff_bound(n, epsilon)
+    return chernoff_bound(n, epsilon) * (n - 1)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One sweep: every decoder at every (n, epsilon) cell.
 
-    The single place the sweep and cell settings are validated; run_cell
-    builds a one-cell config for the same checks. Raises ConfigError.
+    The single place the sweep and cell settings are validated, and the
+    one cell spec: run_cell builds a one-cell config, and the fields past
+    the three sweep axes are run_cell's settings by name. Raises ConfigError.
     """
 
     n_values: tuple[int, ...]
@@ -105,29 +97,21 @@ class SimConfig:
     shared_noise: bool = False
 
     def __post_init__(self):
-        if not self.n_values:
-            raise ConfigError("n_values is empty")
+        for name in ("n_values", "eps_values", "decoders"):
+            check_type(name, getattr(self, name), tuple)
+            if not getattr(self, name):
+                raise ConfigError(f"{name} is empty")
         for n in self.n_values:
-            _check_count("n", n, 2)
-        if not self.eps_values:
-            raise ConfigError("eps_values is empty")
+            check_count("n", n, 2, MAX_N)
         for e in self.eps_values:
             check_epsilon(e)
-        if not self.decoders:
-            raise ConfigError("decoders is empty")
         for d in self.decoders:
-            if d not in DECODER_IDS:
-                raise ConfigError(f"unknown decoder {d!r}, expected one of {sorted(DECODER_IDS)}")
-        _check_count("trials", self.trials, 1)
-        k = num_pairs(max(self.n_values))
-        if self.trials > np.iinfo(np.intp).max // k:
-            raise ConfigError(f"{self.trials} trials of {k} bits is more than one array can hold")
-        _check_count("seed", self.seed, 0)
-        if self.graph not in GRAPH_KINDS:
-            raise ConfigError(f"unknown graph {self.graph!r}, expected one of {GRAPH_KINDS}")
-        _check_count("bp_iterations", self.bp_iterations, 1)
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
+            check_choice("decoder", d, DECODER_IDS)
+        check_count("trials", self.trials, 1, np.iinfo(np.intp).max // num_pairs(max(self.n_values)))
+        check_count("seed", self.seed, 0)
+        check_choice("graph", self.graph, GRAPH_KINDS)
+        check_count("bp_iterations", self.bp_iterations, 1)
+        check_choice("schedule", self.schedule, SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -176,36 +160,31 @@ class SweepResult:
     errors: tuple[CellError, ...]
 
 
-@lru_cache(maxsize=None)
 def graph_for(kind: str, n: int) -> FactorGraph:
-    """The constraint graph message passing runs on for a kind and size."""
-    if kind not in _GRAPHS:
-        raise ConfigError(f"unknown graph {kind!r}, expected one of {GRAPH_KINDS}")
-    _check_count("n", n, 2)
-    if n == 2:
-        # Single variable, nothing to constrain; message passing degenerates
-        # to reading the channel prior, which is the right answer.
-        return FactorGraph(1, ())
+    """The constraint graph message passing runs on for a kind and size. At
+    n = 2 it has one variable and no checks, so message passing reads the
+    channel prior, which is the right answer."""
+    check_choice("graph", kind, _GRAPHS)
     return _GRAPHS[kind](n)
 
 
-def _draw_words(
-    n: int, epsilon: float, trials: int, seed: int, decoder_slot: int, eps_index: int, all_zero: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """True and observed (trials, k) physical words of one cell.
+def _draw_words(cell: SimConfig, eps_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """True and observed (trials, k) physical words of a one-cell config.
 
     Trial t reads uniforms [t*n, (t+1)*n) of the bits stream (bit = u < 1/2)
     and [t*k, (t+1)*k) of the flips stream. One uniform is one 64-bit output,
     so drawing _DRAW_BLOCK rows at a time gives the bytes of one whole draw.
     """
+    (n,), (epsilon,), (decoder,), trials = cell.n_values, cell.eps_values, cell.decoders, cell.trials
     model = NoiseModel(epsilon)
-    bits_rng = stream(seed, decoder_slot, n, eps_index, _BITS)
-    flips_rng = stream(seed, decoder_slot, n, eps_index, _FLIPS)
+    key = (cell.seed, _SHARED_ID if cell.shared_noise else DECODER_IDS[decoder], n, eps_index)
+    bits_rng = stream(*key, _BITS)
+    flips_rng = stream(*key, _FLIPS)
     true = np.empty((trials, num_pairs(n)), dtype=np.uint8)
     obs = np.empty_like(true)
     for lo in range(0, trials, _DRAW_BLOCK):
         rows = min(_DRAW_BLOCK, trials - lo)
-        if all_zero:
+        if cell.all_zero:
             b = np.zeros((rows, n), dtype=np.uint8)
         else:
             b = bits_rng.random((rows, n)) < 0.5
@@ -214,29 +193,21 @@ def _draw_words(
     return true, obs
 
 
-def _decode_consecutive(
-    obs: np.ndarray,
-    n: int,
-    epsilon: float,
-    decoder: str,
-    graph: str,
-    bp_iterations: int,
-    schedule: str,
-    include_direct: bool,
-) -> np.ndarray:
-    """Decoded consecutive bits for a whole batch, (trials, n-1)."""
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig) -> np.ndarray:
+    """Decoded consecutive bits for a one-cell config's whole batch, (trials, n-1)."""
+    (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
-        return _majority_batch(obs, n, include_direct)
+        return _majority_batch(obs, n, cell.include_direct)
     if decoder == "mle":
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
-    fg = graph_for(graph, n)
+    fg = graph_for(cell.graph, n)
     cons_idx = consecutive_indices(n)
     out = np.empty((obs.shape[0], n - 1), dtype=np.uint8)
     for lo in range(0, obs.shape[0], _BP_TRIAL_CHUNK):
         chunk = obs[lo : lo + _BP_TRIAL_CHUNK]
         p0 = np.where(chunk == 0, 1.0 - epsilon, epsilon)
-        _, hard, _ = _bp_batch(fg, p0, chunk, bp_iterations, schedule)
+        _, hard, _ = _bp_batch(fg, p0, chunk, cell.bp_iterations, cell.schedule)
         out[lo : lo + _BP_TRIAL_CHUNK] = hard[:, cons_idx]
     return out
 
@@ -266,31 +237,16 @@ def run_cell(
     one-cell SimConfig they make up, so bad input raises ConfigError
     before any trial runs.
     """
-    SimConfig(
-        n_values=(n,),
-        eps_values=(epsilon,),
-        decoders=(decoder,),
-        trials=trials,
-        seed=seed,
-        graph=graph,
-        bp_iterations=bp_iterations,
-        schedule=schedule,
-        include_direct=include_direct,
-        all_zero=all_zero,
-        shared_noise=shared_noise,
-    )
-    _check_count("eps_index", eps_index, 0)
-    decoder_slot = _SHARED_ID if shared_noise else DECODER_IDS[decoder]
-    true, obs = _draw_words(n, epsilon, trials, seed, decoder_slot, eps_index, all_zero)
-    decoded = _decode_consecutive(obs, n, epsilon, decoder, graph, bp_iterations, schedule, include_direct)
+    cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
+                     schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
+    check_count("eps_index", eps_index, 0)
+    true, obs = _draw_words(cell, eps_index)
+    decoded = _decode_consecutive(obs, cell)
     truth = true[:, consecutive_indices(n)]
     failed = (decoded != truth).any(axis=1)
     failures = int(failed.sum())
     p_fail = failures / trials
-    if failures == 0:
-        stderr = 3.0 / trials
-    else:
-        stderr = math.sqrt(p_fail * (1.0 - p_fail) / trials)
+    stderr = math.sqrt(p_fail * (1.0 - p_fail) / trials) if failures else 3.0 / trials
     return SimResult(
         decoder=decoder,
         graph=graph,
@@ -317,6 +273,10 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     A decoder hitting its capacity limit yields a CellError instead of
     aborting the sweep.
     """
+    check_type("config", config, SimConfig)
+    check_count("threads", threads, 1)
+    # Past the three sweep axes, SimConfig's fields are run_cell's keywords.
+    settings = {f.name: getattr(config, f.name) for f in fields(SimConfig)[3:]}
     cells = [
         (dec, n, ei, eps)
         for dec in config.decoders
@@ -327,25 +287,10 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     def one(cell):
         dec, n, ei, eps = cell
         try:
-            return run_cell(
-                n,
-                eps,
-                dec,
-                config.trials,
-                config.seed,
-                eps_index=ei,
-                graph=config.graph,
-                bp_iterations=config.bp_iterations,
-                schedule=config.schedule,
-                include_direct=config.include_direct,
-                all_zero=config.all_zero,
-                shared_noise=config.shared_noise,
-            )
+            return run_cell(n, eps, dec, eps_index=ei, **settings)
         except CapacityError as exc:
             return CellError(decoder=dec, n=n, epsilon=eps, message=str(exc))
 
-    if threads < 1:
-        raise ConfigError(f"threads must be positive, got {threads}")
     workers = min(threads, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -207,10 +207,14 @@ class TestSimulateCmd:
             ["simulate", "--n", "4", "--eps", "0.1,abc", "--trials", "5"],
             # more trials than one (trials, k) word array can be shaped for
             ["simulate", "--n", "4", "--eps", "0.1", "--trials", "99999999999999999999"],
+            # a pair table whose indices do not fit one array is refused at once
+            ["simulate", "--n", "99999999999999999999", "--eps", "0.1", "--trials", "5"],
+            ["graph", "planar", "--n", "99999999999999999999"],
+            ["graph", "hamming", "--n", "4"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv, "--seed", "1")
+        code, _, err = run_cli(capsys, *argv, *(["--seed", "1"] if argv[0] == "simulate" else []))
         assert code == 1
         assert "error" in err
 

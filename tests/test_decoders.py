@@ -347,6 +347,21 @@ class TestBpProperties:
             bp_decode(fg, np.full((6, 2), 0.5), schedule="flooding")
         with pytest.raises(DimensionError):
             bp_decode(fg, np.full((6, 2), 0.5), observed=[0, 1])
+        # priors are a rectangular table of finite numbers in [0, 1]; rows of
+        # [1.5, -0.5] sum to 1 but used to reach the first round
+        for priors in (
+            np.tile([1.5, -0.5], (6, 1)),
+            np.tile([np.inf, -np.inf], (6, 1)),
+            np.full((6, 2), np.nan),
+            [[0.5, 0.5]] * 5 + [[1.0]],
+            [["0.5", "x"]] * 6,
+        ):
+            with pytest.raises(ConfigError):
+                bp_decode(fg, priors)
+        # a round count is an integer, not a bool or a float
+        for iterations in (True, 2.5):
+            with pytest.raises(ConfigError):
+                bp_decode(fg, np.full((6, 2), 0.5), iterations=iterations)
 
     def test_inconsistent_hard_priors_raise(self):
         fg = FactorGraph(2, ((0, 1),))

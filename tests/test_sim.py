@@ -12,15 +12,25 @@ from lhzcode import (
     ConfigError,
     FactorGraph,
     LhzError,
+    NoiseModel,
     SimConfig,
+    apply_iid_flip,
     as_bits,
     bp_decode,
+    channel_prior,
     SimResult,
     chernoff_bound,
+    consecutive_indices,
+    encode,
     epsilon_star,
+    mle_decode,
+    pair_index,
+    pair_table,
+    planar_lhz_graph,
     run_cell,
     run_sweep,
     stream,
+    syndrome,
     triangle_graph,
     union_bound,
 )
@@ -119,6 +129,42 @@ class TestSimConfig:
             pytest.param(lambda: FactorGraph(3, ((0, 0),)), id="factor_graph-repeat"),
             pytest.param(lambda: FactorGraph(3, ((0, 3),)), id="factor_graph-range"),
             pytest.param(lambda: FactorGraph(-1, ()), id="factor_graph-negative"),
+            pytest.param(lambda: FactorGraph(3.5, ()), id="factor_graph-float-size"),
+            pytest.param(lambda: FactorGraph(3, ((0, 1.5),)), id="factor_graph-float-variable"),
+            pytest.param(lambda: FactorGraph(3, [[0, 1]]), id="factor_graph-list"),
+            pytest.param(lambda: pair_index(1.5, 2, 3), id="pair_index-float"),
+            # the sweep axes are tuples, as annotated, so a config can be hashed
+            {"n_values": 3},
+            {"n_values": [4]},
+            {"eps_values": [0.1]},
+            {"decoders": ["bp"]},
+            {"decoders": (["bp"],)},
+            {"graph": ["triangle"]},
+            # epsilon is a real number, not a bool or a string
+            {"eps_values": ("0.1",)},
+            {"eps_values": (False,)},
+            {"eps_values": (float("nan"),)},
+            _bad_cell("epsilon-string", epsilon="0.1"),
+            # ragged bits are refused by the one bit coercion every entry point uses
+            pytest.param(lambda: encode([[0, 1], [1]]), id="encode-ragged"),
+            pytest.param(lambda: syndrome(triangle_graph(3), [[0, 1], [1]]), id="syndrome-ragged"),
+            pytest.param(lambda: mle_decode([[0, 1], [1]], NoiseModel(0.1)), id="mle-ragged"),
+            # an n whose k = n(n-1)/2 overflows an index is refused at once
+            {"n_values": (10**30,)},
+            _bad_cell("n-huge", n=10**30),
+            pytest.param(lambda: pair_table(10**30), id="pair_table-huge"),
+            pytest.param(lambda: consecutive_indices(10**30), id="consecutive_indices-huge"),
+            pytest.param(lambda: planar_lhz_graph(10**30), id="planar-huge"),
+            pytest.param(lambda: graph_for("triangle", 10**30), id="graph_for-huge"),
+            # parameters typed as a model, generator or config take only that type
+            pytest.param(lambda: channel_prior([0, 1, 1], 0.1), id="channel_prior-model"),
+            pytest.param(lambda: mle_decode([0, 1, 1], 0.1), id="mle_decode-model"),
+            pytest.param(lambda: apply_iid_flip([0, 1, 1], NoiseModel(0.1), 5), id="apply_iid_flip-rng"),
+            pytest.param(lambda: run_sweep("x"), id="run_sweep-config"),
+            pytest.param(lambda: run_sweep(SimConfig((4,), (0.1,)), threads=1.5), id="run_sweep-threads-float"),
+            pytest.param(lambda: run_sweep(SimConfig((4,), (0.1,)), threads=True), id="run_sweep-threads-bool"),
+            pytest.param(lambda: stream(-1, 2), id="stream-negative"),
+            pytest.param(lambda: stream(1, 2.5), id="stream-float"),
         ],
     )
     def test_rejects(self, kw):
@@ -128,20 +174,25 @@ class TestSimConfig:
         assert isinstance(exc.value, LhzError) and isinstance(exc.value, ValueError)
 
 
+def _cell(n=5, trials=30, decoder="majority", eps=0.2, seed=9, all_zero=False):
+    """A one-cell config; its decoder keys the streams ("majority" 1, "bp" 2)."""
+    return SimConfig((n,), (eps,), (decoder,), trials, seed, all_zero=all_zero)
+
+
 class TestDrawWords:
     def test_trial_streams_are_prefix_stable(self):
         # the longer cell crosses a block boundary; the shorter ones do not
-        long = _draw_words(5, 0.2, _DRAW_BLOCK + 5, 9, 1, 0, False)
+        long = _draw_words(_cell(trials=_DRAW_BLOCK + 5), 0)
         for trials in (40, _DRAW_BLOCK, _DRAW_BLOCK + 1):
-            short = _draw_words(5, 0.2, trials, 9, 1, 0, False)
+            short = _draw_words(_cell(trials=trials), 0)
             assert (long[0][:trials] == short[0]).all()
             assert (long[1][:trials] == short[1]).all()
 
     @pytest.mark.parametrize("all_zero", [False, True])
     def test_block_size_changes_nothing(self, monkeypatch, all_zero):
-        whole = _draw_words(6, 0.2, 100, 4, 1, 2, all_zero)
+        whole = _draw_words(_cell(6, 100, seed=4, all_zero=all_zero), 2)
         monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", 7)
-        blocks = _draw_words(6, 0.2, 100, 4, 1, 2, all_zero)
+        blocks = _draw_words(_cell(6, 100, seed=4, all_zero=all_zero), 2)
         assert (whole[0] == blocks[0]).all() and (whole[1] == blocks[1]).all()
 
     def test_stream_calls_per_cell_are_constant(self, monkeypatch):
@@ -163,7 +214,7 @@ class TestDrawWords:
 
     def test_bit_and_flip_rates(self):
         n, eps, trials = 20, 0.1, 3000
-        true, obs = _draw_words(n, eps, trials, 8, 1, 0, False)
+        true, obs = _draw_words(_cell(n, trials, eps=eps, seed=8), 0)
         # g_1j = b_1 ^ b_j: n-1 independent fair bits per trial
         bits = true[:, : n - 1]
         assert abs(bits.mean() - 0.5) < 5 * math.sqrt(0.25 / bits.size)
@@ -171,19 +222,19 @@ class TestDrawWords:
         assert abs(flips.mean() - eps) < 5 * math.sqrt(eps * (1 - eps) / flips.size)
 
     def test_decoder_slot_changes_noise(self):
-        a = _draw_words(5, 0.2, 30, 9, 1, 0, False)
-        b = _draw_words(5, 0.2, 30, 9, 2, 0, False)
+        a = _draw_words(_cell(), 0)
+        b = _draw_words(_cell(decoder="bp"), 0)
         assert not (a[1] == b[1]).all()
 
     def test_all_zero_mode(self):
-        true, obs = _draw_words(5, 0.2, 30, 9, 1, 0, True)
+        true, obs = _draw_words(_cell(all_zero=True), 0)
         assert not true.any()
         assert obs.any()
 
     def test_words_are_codewords(self):
         from lhzcode import syndrome, triangle_graph
 
-        true, _ = _draw_words(5, 0.2, 20, 9, 1, 0, False)
+        true, _ = _draw_words(_cell(trials=20), 0)
         fg = triangle_graph(5)
         for t in range(20):
             assert not syndrome(fg, true[t]).any()
@@ -247,9 +298,9 @@ class TestRunCell:
         seen = {}
         decode = lhzcode.sim._decode_consecutive
 
-        def recording(obs, n, epsilon, decoder, *rest):
-            seen[decoder] = obs.copy()
-            return decode(obs, n, epsilon, decoder, *rest)
+        def recording(obs, cell):
+            seen[cell.decoders[0]] = obs.copy()
+            return decode(obs, cell)
 
         monkeypatch.setattr(lhzcode.sim, "_decode_consecutive", recording)
         mle = run_cell(6, 0.2, "mle", 800, 3, shared_noise=True)
@@ -355,7 +406,7 @@ class TestRunSweep:
 
     def test_eps_index_keys_the_stream(self):
         # the key uses the epsilon slot, not the epsilon value
-        a = _draw_words(5, 0.2, 30, 9, 1, 0, False)
-        b = _draw_words(5, 0.2, 30, 9, 1, 1, False)
+        a = _draw_words(_cell(), 0)
+        b = _draw_words(_cell(), 1)
         assert not (a[0] == b[0]).all()
         assert not (a[1] == b[1]).all()
