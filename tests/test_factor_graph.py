@@ -115,6 +115,13 @@ class TestTriangle:
         assert (_degrees(fg) == n - 2).all()
         assert all(len(c) == 3 for c in fg.checks)
 
+    def test_degenerate(self):
+        # n = 2 has one pair bit and nothing to check; n = 1 has no pair at all
+        assert triangle_graph(2) == graph_for("triangle", 2) == FactorGraph(1, ())
+        for build in (triangle_graph, lambda n: graph_for("triangle", n)):
+            with pytest.raises(ConfigError):
+                build(1)
+
     @given(bit_words)
     def test_codewords_satisfy(self, bits):
         b = np.array(bits, dtype=np.uint8)
@@ -148,19 +155,17 @@ class TestPlanar:
         assert fg.n_checks == num_pairs(n) - n + 1
         assert sum(1 for c in fg.checks if len(c) == 3) == n - 2
 
+    def test_degenerate(self):
+        # n = 2 has one pair bit and nothing to check; n = 1 has no pair at all
+        assert planar_lhz_graph(2) == graph_for("planar", 2) == FactorGraph(1, ())
+        for build in (planar_lhz_graph, lambda n: graph_for("planar", n)):
+            with pytest.raises(ConfigError):
+                build(1)
+
     @given(bit_words)
     def test_codewords_satisfy(self, bits):
         b = np.array(bits, dtype=np.uint8)
         assert not syndrome(planar_lhz_graph(b.size), encode(b)).any()
-
-
-def test_degenerate_size():
-    # n = 2 has one pair bit and nothing to check; n = 1 has no pair at all
-    for kind in ("triangle", "planar"):
-        assert triangle_graph(2) == planar_lhz_graph(2) == graph_for(kind, 2) == FactorGraph(1, ())
-        for build in (triangle_graph, planar_lhz_graph, lambda n: graph_for(kind, n)):
-            with pytest.raises(ConfigError):
-                build(1)
 
 
 class TestGf2:
