@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InvalidPairError, check_count
+from .errors import ConfigError, DimensionError, InvalidPairError, check_count, check_type
 
 __all__ = [
     "num_pairs",
@@ -87,6 +87,7 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 def as_bits(seq, *, batch: bool = False) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1, or with batch=True also to a 2-D
     (rows, bits) one. Accepts strings like "0110"."""
+    check_type("batch", batch, bool)
     if isinstance(seq, str):
         if not set(seq) <= {"0", "1"}:
             raise ConfigError(f"bit string may only contain 0 and 1, got {seq!r}")

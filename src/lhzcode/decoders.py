@@ -24,12 +24,12 @@ import numpy as np
 
 from .channel import NoiseModel
 from .codes import (
+    _triu,
     as_bits,
     consecutive_indices,
     encode,
     logical_from_consecutive,
     num_logical,
-    num_pairs,
     pair_index,
 )
 from .errors import CapacityError, ConfigError, DimensionError, InconsistentEvidenceError
@@ -50,6 +50,7 @@ SCHEDULES = ("belief", "extrinsic")
 
 # 2^(n-1) candidates get enumerated; past this the search is hopeless anyway.
 MLE_MAX_LOGICAL = 24
+_MLE_BLOCK_BYTES = 4 << 20  # float32 candidate block times max(k, trials), ~4 MB
 
 
 @dataclass
@@ -118,6 +119,7 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
     is re-encoded from the chained consecutive decisions, so it is always
     a codeword.
     """
+    check_type("include_direct", include_direct, bool)
     g = as_bits(g_obs)
     n = num_logical(g.size)
     cons = _majority_batch(g[None, :], n, include_direct)[0]
@@ -274,7 +276,7 @@ def bp_decode(
     check_choice("schedule", schedule, SCHEDULES)
     try:
         priors = np.asarray(priors, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("priors must be a rectangular table of numbers") from None
     if priors.shape != (graph.n_vars, 2):
         raise DimensionError(f"priors must have shape ({graph.n_vars}, 2), got {priors.shape}")
@@ -320,27 +322,27 @@ def _counter_bits(counters: np.ndarray, n: int) -> np.ndarray:
 def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
     """Nearest-codeword logical words for a (trials, k) batch.
 
-    Ties resolve to the lexicographically smallest candidate: counters run
-    in lex order and only strictly smaller distances displace the holder.
-    Past n = MLE_MAX_LOGICAL the search is refused with a CapacityError.
+    Spins s = 1 - 2b score sum_ij s_i s_j (1 - 2 g_ij) = k - 2 distance: one float32
+    product per candidate block, exact as its integers stay below 2^24. Ties go to the
+    lexicographically smallest: argmax keeps a block's first maximum, and across blocks
+    only a strictly higher score displaces the holder. Past n = MLE_MAX_LOGICAL it refuses.
     """
     if n > MLE_MAX_LOGICAL:
         raise CapacityError(
             f"mle at n={n}: exhaustive search over 2^{n - 1} candidates exceeds the n={MLE_MAX_LOGICAL} limit"
         )
-    t, k = words.shape
-    total = 1 << (n - 1)
-    chunk = max(64, min(total, 64_000_000 // max(1, t * k)))
-    best_d = np.full(t, k + 1, dtype=np.int64)
-    best_c = np.zeros(t, dtype=np.int64)
+    (t, k), total = words.shape, 1 << (n - 1)
+    chunk = max(64, min(total, _MLE_BLOCK_BYTES // (4 * max(k, t))))
+    iu, ju = _triu(n)
+    w = 1 - 2 * words.astype(np.float32)
+    best_score, best_c = np.full(t, -k - 1, dtype=np.float32), np.zeros(t, dtype=np.int64)
     for lo in range(0, total, chunk):
-        cand_words = encode(_counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n))
-        dist = (words[:, None, :] != cand_words[None, :, :]).sum(axis=2, dtype=np.int64)
-        arg = dist.argmin(axis=1)
-        d = dist[np.arange(t), arg]
-        better = d < best_d
-        best_d[better] = d[better]
-        best_c[better] = arg[better] + lo
+        s = 1 - 2 * _counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n).astype(np.float32)
+        score = w @ (s[:, iu] * s[:, ju]).T
+        arg = score.argmax(axis=1)
+        top = score[np.arange(t), arg]
+        best_c = np.where(top > best_score, arg + lo, best_c)
+        np.maximum(best_score, top, out=best_score)
     return _counter_bits(best_c, n)
 
 

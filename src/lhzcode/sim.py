@@ -60,15 +60,17 @@ def chernoff_bound(n: int, epsilon: float) -> float:
     """Analytic bound on one consecutive bit's majority failure.
 
     exp(-2 (n-2) (1/2 - eps*)^2) with eps* = 2 eps (1 - eps): Hoeffding on
-    the n-2 indirect votes, each an independent two-bit parity.
+    the n-2 indirect votes, each an independent two-bit parity. n runs from
+    2 to MAX_N, the array-index limit SimConfig puts on n, so it fits a float.
     """
-    check_count("n", n, 2)
+    check_count("n", n, 2, MAX_N)
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
 
 def union_bound(n: int, epsilon: float) -> float:
-    """(n-1) times the per-bit bound: any of the consecutive bits failing.
+    """(n-1) times the per-bit bound: any of the consecutive bits failing,
+    for the same n as chernoff_bound.
 
     Values above 1 are returned as-is; a vacuous bound is still a bound.
     """
@@ -112,6 +114,8 @@ class SimConfig:
         check_choice("graph", self.graph, GRAPH_KINDS)
         check_count("bp_iterations", self.bp_iterations, 1)
         check_choice("schedule", self.schedule, SCHEDULES)
+        for name in ("include_direct", "all_zero", "shared_noise"):
+            check_type(name, getattr(self, name), bool)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: exhaustive enumeration and dict-based
 message passing, no shared code with the package internals beyond the public
-FactorGraph/syndrome/encode surface. The one exception is the slot-major LLR
-engine at the end, the vectorised engine's bit-exact oracle.
+FactorGraph/syndrome/encode surface. The exceptions are the bit-exact oracles
+of two vectorised kernels: the Hamming-distance nearest-codeword search, which
+reads the candidates in the package's counter order, and the slot-major LLR
+engine at the end.
 """
 
 import itertools
@@ -13,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lhzcode import FactorGraph, InconsistentEvidenceError, encode, pair_index, syndrome
+from lhzcode import CapacityError, FactorGraph, InconsistentEvidenceError, encode, pair_index, syndrome
+from lhzcode.decoders import MLE_MAX_LOGICAL, _counter_bits
 
 
 def exact_marginals(graph, priors):
@@ -156,6 +159,39 @@ def nearest_codeword_bruteforce(word, n):
         if best is None or d < best[0]:
             best = (d, b)
     return best[1]
+
+
+# ----------------------------------- distance-counting nearest-codeword search
+#
+# The exhaustive search before it became a +-1 matrix product: each candidate
+# block is encoded and compared bit by bit with every trial. The product
+# kernel must return the same words, ties included.
+
+def mle_batch_distance(words: np.ndarray, n: int) -> np.ndarray:
+    """Nearest-codeword logical words for a (trials, k) batch.
+
+    Ties resolve to the lexicographically smallest candidate: counters run
+    in lex order and only strictly smaller distances displace the holder.
+    Past n = MLE_MAX_LOGICAL the search is refused with a CapacityError.
+    """
+    if n > MLE_MAX_LOGICAL:
+        raise CapacityError(
+            f"mle at n={n}: exhaustive search over 2^{n - 1} candidates exceeds the n={MLE_MAX_LOGICAL} limit"
+        )
+    t, k = words.shape
+    total = 1 << (n - 1)
+    chunk = max(64, min(total, 64_000_000 // max(1, t * k)))
+    best_d = np.full(t, k + 1, dtype=np.int64)
+    best_c = np.zeros(t, dtype=np.int64)
+    for lo in range(0, total, chunk):
+        cand_words = encode(_counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n))
+        dist = (words[:, None, :] != cand_words[None, :, :]).sum(axis=2, dtype=np.int64)
+        arg = dist.argmin(axis=1)
+        d = dist[np.arange(t), arg]
+        better = d < best_d
+        best_d[better] = d[better]
+        best_c[better] = arg[better] + lo
+    return _counter_bits(best_c, n)
 
 
 # ------------------------------------------- slot-major LLR engine (oracle)

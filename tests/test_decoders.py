@@ -1,4 +1,9 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +36,12 @@ from lhzcode import (
     triangle_graph,
     planar_lhz_graph,
 )
+import lhzcode.decoders
 from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch
 
 from reference import (
     exact_marginals,
+    mle_batch_distance,
     naive_belief_bp,
     naive_extrinsic_bp,
     nearest_codeword_bruteforce,
@@ -539,3 +546,90 @@ class TestMle:
         for t in range(30):
             single = mle_decode(words[t], NoiseModel(0.3))
             assert (encode(got[t]) == single.word).all()
+
+
+def _noisy_words(n, eps, trials, seed):
+    """Codewords of random logical words, through the i.i.d. flip channel."""
+    rng = stream(seed, n)
+    return apply_iid_flip(encode(rng.integers(0, 2, size=(trials, n), dtype=np.uint8)), NoiseModel(eps), rng)
+
+
+def _tied_words(n):
+    """Uniform random words whose nearest codeword is not unique, with the
+    number of candidates tied at the minimum distance for each."""
+    cands = encode(np.array([(0,) + b for b in itertools.product((0, 1), repeat=n - 1)], dtype=np.uint8))
+    words = stream(3, n).integers(0, 2, size=(200, cands.shape[1]), dtype=np.uint8)
+    dist = (words[:, None, :] != cands[None, :, :]).sum(axis=2)
+    ties = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1)
+    return words[ties >= 2], ties[ties >= 2]
+
+
+def _constant_words(n):
+    """The all-zero word and the all-one word, which ties many candidates."""
+    return np.array([[0] * (n * (n - 1) // 2), [1] * (n * (n - 1) // 2)], dtype=np.uint8)
+
+
+class TestMleAgainstDistance:
+    """The matrix-product search returns the distance-counting oracle's words
+    exactly, ties included."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_noisy_words(self, n, eps):
+        words = _noisy_words(n, eps, 40, seed=17)
+        assert np.array_equal(_mle_batch(words, n), mle_batch_distance(words, n))
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_all_zero_and_all_one(self, n):
+        words = _constant_words(n)
+        got = _mle_batch(words, n)
+        assert np.array_equal(got, mle_batch_distance(words, n))
+        assert not got[0].any()
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_tied_words(self, n):
+        words, ties = _tied_words(n)
+        assert len(words) >= 20 and ties.max() >= 3
+        assert np.array_equal(_mle_batch(words, n), mle_batch_distance(words, n))
+
+    @pytest.mark.parametrize("n,block", [(8, 64), (8, 100), (11, 64), (11, 100), (11, 1000), (12, 1000)])
+    def test_blocks_smaller_than_the_search(self, monkeypatch, n, block):
+        words = np.concatenate([_noisy_words(n, 0.3, 30, seed=5), _tied_words(n)[0], _constant_words(n)])
+        want = mle_batch_distance(words, n)
+        sizes = []
+
+        def recording(counters, n):
+            sizes.append(counters.size)
+            return _counter_bits(counters, n)
+
+        _counter_bits = lhzcode.decoders._counter_bits
+        monkeypatch.setattr(lhzcode.decoders, "_counter_bits", recording)
+        # a budget of one byte gives the 64-candidate floor
+        budget = 1 if block == 64 else 4 * max(words.shape) * block
+        monkeypatch.setattr(lhzcode.decoders, "_MLE_BLOCK_BYTES", budget)
+        assert np.array_equal(_mle_batch(words, n), want)
+        blocks = sizes[:-1]  # the last call reads out the winners
+        assert len(blocks) > 1 and blocks[0] == block and sum(blocks) == 1 << (n - 1)
+
+    @pytest.mark.parametrize("trials", [1, 1000])
+    def test_batch_sizes(self, trials):
+        words = _noisy_words(12, 0.2, trials, seed=9)
+        assert np.array_equal(_mle_batch(words, 12), mle_batch_distance(words, 12))
+
+
+def test_blas_threads_do_not_change_the_words(tmp_path):
+    # One fixed batch, decoded in two fresh processes whose BLAS runs on one
+    # and on two threads; the scores are exact integers, so both match.
+    n = 14
+    words = _noisy_words(n, 0.3, 300, seed=21)
+    np.save(tmp_path / "words.npy", words)
+    want = hashlib.sha256(mle_batch_distance(words, n).tobytes()).hexdigest()
+    script = ("import hashlib, sys; import numpy as np; from lhzcode.decoders import _mle_batch; "
+              "got = _mle_batch(np.load(sys.argv[1]), int(sys.argv[2])); "
+              "print(hashlib.sha256(got.tobytes()).hexdigest())")
+    src = str(Path(lhzcode.decoders.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "words.npy"), str(n)],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert out.stdout.strip() == want, threads

@@ -23,6 +23,7 @@ from lhzcode import (
     consecutive_indices,
     encode,
     epsilon_star,
+    majority_vote_decode,
     mle_decode,
     pair_index,
     pair_table,
@@ -165,6 +166,20 @@ class TestSimConfig:
             pytest.param(lambda: run_sweep(SimConfig((4,), (0.1,)), threads=True), id="run_sweep-threads-bool"),
             pytest.param(lambda: stream(-1, 2), id="stream-negative"),
             pytest.param(lambda: stream(1, 2.5), id="stream-float"),
+            # the bounds take n up to the array-index limit, so n(n-1) fits a float
+            pytest.param(lambda: chernoff_bound(10**400, 0.1), id="chernoff-huge"),
+            pytest.param(lambda: union_bound(10**400, 0.1), id="union-huge"),
+            # on/off flags take only a bool
+            {"include_direct": "yes"},
+            {"all_zero": np.zeros((2, 3))},
+            {"shared_noise": 1},
+            _bad_cell("include_direct-string", include_direct="yes"),
+            _bad_cell("all_zero-array", all_zero=np.zeros((2, 3))),
+            _bad_cell("shared_noise-none", shared_noise=None),
+            pytest.param(lambda: majority_vote_decode([0, 1, 1], include_direct=np.zeros((2, 3))),
+                         id="majority-include_direct-array"),
+            pytest.param(lambda: majority_vote_decode([0, 1, 1], include_direct=1), id="majority-include_direct-int"),
+            pytest.param(lambda: as_bits([0, 1], batch="no"), id="as_bits-batch-string"),
         ],
     )
     def test_rejects(self, kw):
