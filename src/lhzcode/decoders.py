@@ -50,7 +50,7 @@ SCHEDULES = ("belief", "extrinsic")
 
 # 2^(n-1) candidates get enumerated; past this the search is hopeless anyway.
 MLE_MAX_LOGICAL = 24
-_MLE_BLOCK_BYTES = 4 << 20  # float32 candidate block times max(k, trials), ~4 MB
+_MLE_BLOCK_BYTES = 4 << 20  # per float32 candidate or score block: candidates * max(k, trials) * 4
 
 
 @dataclass

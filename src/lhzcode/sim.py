@@ -61,7 +61,7 @@ def chernoff_bound(n: int, epsilon: float) -> float:
 
     exp(-2 (n-2) (1/2 - eps*)^2) with eps* = 2 eps (1 - eps): Hoeffding on
     the n-2 indirect votes, each an independent two-bit parity. n runs from
-    2 to MAX_N, the array-index limit SimConfig puts on n, so it fits a float.
+    2 to MAX_N, the array-index limit SimConfig puts on n, so n - 2 fits a float.
     """
     check_count("n", n, 2, MAX_N)
     es = epsilon_star(epsilon)

@@ -596,13 +596,12 @@ class TestMleAgainstDistance:
     def test_blocks_smaller_than_the_search(self, monkeypatch, n, block):
         words = np.concatenate([_noisy_words(n, 0.3, 30, seed=5), _tied_words(n)[0], _constant_words(n)])
         want = mle_batch_distance(words, n)
-        sizes = []
+        sizes, counter_bits = [], lhzcode.decoders._counter_bits
 
         def recording(counters, n):
             sizes.append(counters.size)
-            return _counter_bits(counters, n)
+            return counter_bits(counters, n)
 
-        _counter_bits = lhzcode.decoders._counter_bits
         monkeypatch.setattr(lhzcode.decoders, "_counter_bits", recording)
         # a budget of one byte gives the 64-candidate floor
         budget = 1 if block == 64 else 4 * max(words.shape) * block

@@ -166,7 +166,7 @@ class TestSimConfig:
             pytest.param(lambda: run_sweep(SimConfig((4,), (0.1,)), threads=True), id="run_sweep-threads-bool"),
             pytest.param(lambda: stream(-1, 2), id="stream-negative"),
             pytest.param(lambda: stream(1, 2.5), id="stream-float"),
-            # the bounds take n up to the array-index limit, so n(n-1) fits a float
+            # the bounds take n up to the array-index limit, so n - 2 fits a float
             pytest.param(lambda: chernoff_bound(10**400, 0.1), id="chernoff-huge"),
             pytest.param(lambda: union_bound(10**400, 0.1), id="union-huge"),
             # on/off flags take only a bool
