@@ -9,6 +9,7 @@ bytes and --threads never changes the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -171,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process; parsing leaves it as it was
+
+
 def cmd_graph(args) -> int:
     if (args.kind == "hamming") != (args.n is None):
         raise ConfigError(f"graph {args.kind} {'takes no' if args.n is not None else 'needs'} --n")
@@ -281,9 +285,8 @@ def cmd_bound(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -204,12 +204,12 @@ def _bp_batch(
     """Run message passing on a (trials, n_vars) batch.
 
     Returns (final p0, hard words, converged flags). All trials run the
-    full iteration count; the flag just records whether the last round
-    still changed anything. Every message is one log-likelihood ratio
-    log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the product
-    d of its other neighbours' biases, read through the partner tables (the
-    tanh rule), and a variable sums its prior LLR with its incoming ones, so
-    high-degree graphs cannot underflow.
+    full iteration count, at least one; the flag just records whether the
+    last round still changed anything. Every message is one log-likelihood
+    ratio log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the
+    product d of its other neighbours' biases, read through the partner
+    tables (the tanh rule), and a variable sums its prior LLR with its
+    incoming ones, so high-degree graphs cannot underflow.
     """
     partners = _bp_layout(graph)[schedule]
     t, nv = p0.shape
@@ -222,9 +222,8 @@ def _bp_batch(
     src[:, -2:] = 1.0, 0.0
     if schedule == "extrinsic":
         src[:, :-2] = np.repeat(2.0 * p0 - 1.0, partners.shape[2], axis=1)
-    hard_prev = _hard(p0, observed)
-    converged = np.ones(t, dtype=bool)
     for _ in range(iterations):
+        prev = p0
         if schedule == "belief":
             src[:, :nv] = 2.0 * p0 - 1.0
         d = src[:, partners[0]]
@@ -243,10 +242,8 @@ def _bp_batch(
         if schedule == "extrinsic":
             le = lprior[:, :, None] + _exclusive_sum(g)
             src[:, :-2] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX).reshape(t, -1)
-        hard = _hard(p0, observed)
-        converged = (hard == hard_prev).all(axis=1)
-        hard_prev = hard
-    return p0, hard_prev, converged
+    hard = _hard(p0, observed)
+    return p0, hard, (hard == _hard(prev, observed)).all(axis=1)
 
 
 def bp_decode(

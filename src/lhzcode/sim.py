@@ -52,7 +52,7 @@ GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
-_DRAW_BLOCK = 1024      # trials per encode/flip call, keeps the uniforms ~6 MB at n=40
+_DRAW_BLOCK = 1024      # trials drawn, decoded and scored at a time, keeps the uniforms ~6 MB at n=40
 _BP_TRIAL_CHUNK = 32    # trials per message-passing batch, keeps its per-edge arrays ~8 MB at n=40
 
 
@@ -172,33 +172,29 @@ def graph_for(kind: str, n: int) -> FactorGraph:
     return _GRAPHS[kind](n)
 
 
-def _draw_words(cell: SimConfig, eps_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """True and observed (trials, k) physical words of a one-cell config.
+def _streams(cell: SimConfig, eps_index: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The bits and flips streams of a one-cell config, opened once per cell."""
+    key = (cell.seed, _SHARED_ID if cell.shared_noise else DECODER_IDS[cell.decoders[0]], cell.n_values[0], eps_index)
+    return stream(*key, _BITS), stream(*key, _FLIPS)
+
+
+def _draw_words(cell: SimConfig, rngs: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """True and observed (rows, k) physical words of the next rows trials.
 
     Trial t reads uniforms [t*n, (t+1)*n) of the bits stream (bit = u < 1/2)
     and [t*k, (t+1)*k) of the flips stream. One uniform is one 64-bit output,
-    so drawing _DRAW_BLOCK rows at a time gives the bytes of one whole draw.
+    so drawing a cell in blocks of any size gives the bytes of one whole draw.
     """
-    (n,), (epsilon,), (decoder,), trials = cell.n_values, cell.eps_values, cell.decoders, cell.trials
-    model = NoiseModel(epsilon)
-    key = (cell.seed, _SHARED_ID if cell.shared_noise else DECODER_IDS[decoder], n, eps_index)
-    bits_rng = stream(*key, _BITS)
-    flips_rng = stream(*key, _FLIPS)
-    true = np.empty((trials, num_pairs(n)), dtype=np.uint8)
-    obs = np.empty_like(true)
-    for lo in range(0, trials, _DRAW_BLOCK):
-        rows = min(_DRAW_BLOCK, trials - lo)
-        if cell.all_zero:
-            b = np.zeros((rows, n), dtype=np.uint8)
-        else:
-            b = bits_rng.random((rows, n)) < 0.5
-        true[lo : lo + rows] = g = encode(b)
-        obs[lo : lo + rows] = apply_iid_flip(g, model, flips_rng)
-    return true, obs
+    (n,), (epsilon,) = cell.n_values, cell.eps_values
+    bits_rng, flips_rng = rngs
+    b = np.zeros((rows, n), dtype=np.uint8) if cell.all_zero else bits_rng.random((rows, n)) < 0.5
+    true = encode(b)
+    return true, apply_iid_flip(true, NoiseModel(epsilon), flips_rng)
 
 
 def _decode_consecutive(obs: np.ndarray, cell: SimConfig) -> np.ndarray:
-    """Decoded consecutive bits for a one-cell config's whole batch, (trials, n-1)."""
+    """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
+    config; message passing takes the block _BP_TRIAL_CHUNK trials at a time."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
         return _majority_batch(obs, n, cell.include_direct)
@@ -244,11 +240,14 @@ def run_cell(
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     check_count("eps_index", eps_index, 0)
-    true, obs = _draw_words(cell, eps_index)
-    decoded = _decode_consecutive(obs, cell)
-    truth = true[:, consecutive_indices(n)]
-    failed = (decoded != truth).any(axis=1)
-    failures = int(failed.sum())
+    rngs = _streams(cell, eps_index)
+    failures = pair_failures = 0
+    for lo in range(0, trials, _DRAW_BLOCK):
+        true, obs = _draw_words(cell, rngs, min(_DRAW_BLOCK, trials - lo))
+        true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
+        decoded = _decode_consecutive(obs, cell)
+        failures += int((decoded != true).any(axis=1).sum())
+        pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials
     stderr = math.sqrt(p_fail * (1.0 - p_fail) / trials) if failures else 3.0 / trials
     return SimResult(
@@ -264,7 +263,7 @@ def run_cell(
         chernoff=chernoff_bound(n, epsilon),
         union_bound=union_bound(n, epsilon),
         seed=seed,
-        pair_failures=int((decoded[:, 0] != truth[:, 0]).sum()),
+        pair_failures=pair_failures,
     )
 
 

@@ -276,3 +276,14 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_parser_built_once_per_process(self, capsys):
+        lhzcode.cli._parser.cache_clear()
+        argv = ("simulate", "--n", "4", "--eps", "0.1", "--trials", "20", "--seed", "3")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, "simulate", "--n")[0] == 1  # a refused parse leaves the parser as it was
+        assert run_cli(capsys, *argv) == first
+        assert lhzcode.cli._parser.cache_info().misses == 1
+        build = lhzcode.cli.build_parser
+        assert build() is not build()  # the public builder still hands out a fresh parser

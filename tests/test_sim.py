@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from lhzcode import (
     triangle_graph,
     union_bound,
 )
-from lhzcode.sim import _DRAW_BLOCK, _draw_words, graph_for
+from lhzcode.sim import _DRAW_BLOCK, _draw_words, _streams, graph_for
 
 from reference import exact_majority_pair_fail
 
@@ -194,21 +195,35 @@ def _cell(n=5, trials=30, decoder="majority", eps=0.2, seed=9, all_zero=False):
     return SimConfig((n,), (eps,), (decoder,), trials, seed, all_zero=all_zero)
 
 
+def _draw(cell, eps_index, block=_DRAW_BLOCK):
+    """A cell's true and observed words, (trials, k) each, drawn from its two
+    streams in blocks of the given size, as run_cell draws them."""
+    rngs = _streams(cell, eps_index)
+    blocks = [_draw_words(cell, rngs, min(block, cell.trials - lo)) for lo in range(0, cell.trials, block)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 class TestDrawWords:
     def test_trial_streams_are_prefix_stable(self):
         # the longer cell crosses a block boundary; the shorter ones do not
-        long = _draw_words(_cell(trials=_DRAW_BLOCK + 5), 0)
+        long = _draw(_cell(trials=_DRAW_BLOCK + 5), 0)
         for trials in (40, _DRAW_BLOCK, _DRAW_BLOCK + 1):
-            short = _draw_words(_cell(trials=trials), 0)
+            short = _draw(_cell(trials=trials), 0)
             assert (long[0][:trials] == short[0]).all()
             assert (long[1][:trials] == short[1]).all()
 
     @pytest.mark.parametrize("all_zero", [False, True])
-    def test_block_size_changes_nothing(self, monkeypatch, all_zero):
-        whole = _draw_words(_cell(6, 100, seed=4, all_zero=all_zero), 2)
-        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", 7)
-        blocks = _draw_words(_cell(6, 100, seed=4, all_zero=all_zero), 2)
+    def test_block_size_changes_nothing(self, all_zero):
+        whole = _draw(_cell(6, 100, seed=4, all_zero=all_zero), 2)
+        blocks = _draw(_cell(6, 100, seed=4, all_zero=all_zero), 2, block=7)
         assert (whole[0] == blocks[0]).all() and (whole[1] == blocks[1]).all()
+
+    def test_one_row_per_trial_drawn(self):
+        # the benchmark's trace counts trials drawn by the rows of the first item
+        rngs = _streams(_cell(), 0)
+        for rows in (1, 7, _DRAW_BLOCK):
+            true, obs = _draw_words(_cell(), rngs, rows)
+            assert true.shape == obs.shape == (rows, 10)
 
     def test_stream_calls_per_cell_are_constant(self, monkeypatch):
         keys = []
@@ -229,7 +244,7 @@ class TestDrawWords:
 
     def test_bit_and_flip_rates(self):
         n, eps, trials = 20, 0.1, 3000
-        true, obs = _draw_words(_cell(n, trials, eps=eps, seed=8), 0)
+        true, obs = _draw(_cell(n, trials, eps=eps, seed=8), 0)
         # g_1j = b_1 ^ b_j: n-1 independent fair bits per trial
         bits = true[:, : n - 1]
         assert abs(bits.mean() - 0.5) < 5 * math.sqrt(0.25 / bits.size)
@@ -237,25 +252,47 @@ class TestDrawWords:
         assert abs(flips.mean() - eps) < 5 * math.sqrt(eps * (1 - eps) / flips.size)
 
     def test_decoder_slot_changes_noise(self):
-        a = _draw_words(_cell(), 0)
-        b = _draw_words(_cell(decoder="bp"), 0)
+        a = _draw(_cell(), 0)
+        b = _draw(_cell(decoder="bp"), 0)
         assert not (a[1] == b[1]).all()
 
     def test_all_zero_mode(self):
-        true, obs = _draw_words(_cell(all_zero=True), 0)
+        true, obs = _draw(_cell(all_zero=True), 0)
         assert not true.any()
         assert obs.any()
 
     def test_words_are_codewords(self):
         from lhzcode import syndrome, triangle_graph
 
-        true, _ = _draw_words(_cell(trials=20), 0)
+        true, _ = _draw(_cell(trials=20), 0)
         fg = triangle_graph(5)
         for t in range(20):
             assert not syndrome(fg, true[t]).any()
 
 
 class TestRunCell:
+    @pytest.mark.parametrize("decoder", sorted(lhzcode.sim.DECODER_IDS))
+    def test_draw_block_changes_nothing(self, monkeypatch, decoder):
+        def cell():
+            r = run_cell(6, 0.2, decoder, 100, 4)
+            return r, r.pair_failures
+
+        whole = cell()
+        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", 7)
+        assert cell() == whole
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a cell keeps one block of trials at a time, however many it runs
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_cell(40, 0.1, "majority", trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * _DRAW_BLOCK) <= 1.5 * peak(_DRAW_BLOCK)
+
     @pytest.mark.parametrize("graph,schedule,n", [("triangle", "belief", 7), ("planar", "extrinsic", 8)])
     def test_bp_trial_chunk_changes_nothing(self, monkeypatch, graph, schedule, n):
         def cell():
@@ -421,7 +458,7 @@ class TestRunSweep:
 
     def test_eps_index_keys_the_stream(self):
         # the key uses the epsilon slot, not the epsilon value
-        a = _draw_words(_cell(), 0)
-        b = _draw_words(_cell(), 1)
+        a = _draw(_cell(), 0)
+        b = _draw(_cell(), 1)
         assert not (a[0] == b[0]).all()
         assert not (a[1] == b[1]).all()
