@@ -223,7 +223,7 @@ def _bp_batch(
     if schedule == "extrinsic":
         src[:, :-2] = np.repeat(2.0 * p0 - 1.0, partners.shape[2], axis=1)
     for _ in range(iterations):
-        prev = p0
+        prev = p0  # frees the round before this one ahead of the per-edge arrays, which keeps the peak RSS
         if schedule == "belief":
             src[:, :nv] = 2.0 * p0 - 1.0
         d = src[:, partners[0]]
