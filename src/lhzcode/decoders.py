@@ -167,20 +167,6 @@ def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
     return {"belief": partners(var, nv), "extrinsic": partners(edge, nv * d_max)}
 
 
-def _exclusive_sum(x: np.ndarray) -> np.ndarray:
-    """Along the last axis: sum of all entries except the one in place.
-
-    Built from prefix/suffix sums, no subtraction, so infinite entries
-    poison only the positions that should see them.
-    """
-    left = np.zeros_like(x)
-    right = np.zeros_like(x)
-    if x.shape[-1] > 1:
-        np.cumsum(x[..., :-1], axis=-1, out=left[..., 1:])
-        np.cumsum(x[..., :0:-1], axis=-1, out=right[..., -2::-1])
-    return left + right
-
-
 def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Hard decisions from p0; exact ties keep the observed bit."""
     return np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, observed)).astype(np.uint8)
@@ -210,40 +196,87 @@ def _bp_batch(
     product d of its other neighbours' biases, read through the partner
     tables (the tanh rule), and a variable sums its prior LLR with its
     incoming ones, so high-degree graphs cannot underflow.
+
+    Trials run innermost, the layout np.take gives a gather along axis 0:
+    per-variable state is (n_vars, trials), message sources (n_src + 2,
+    trials) and per-edge messages (n_vars, max_degree, trials). The two
+    per-edge message buffers, like the extrinsic schedule's per-edge
+    sources, are allocated once per call, and every round writes into them
+    with out=. Gathers use mode="clip", which np.take does not buffer; the
+    tables hold no index out of range. A variable's messages are added one
+    degree slot at a time, left to right, as are the prefix and suffix sums
+    of the extrinsic pass: numpy's own reductions add pairwise along a
+    contiguous axis, so a batch of one trial would round differently from a
+    larger one. With the order written out, a trial's beliefs do not depend
+    on its batch.
     """
     partners = _bp_layout(graph)[schedule]
-    t, nv = p0.shape
-    p0 = p0.astype(np.float64, copy=True)
+    _, nv, d_max = partners.shape
+    t = p0.shape[0]
+    cur = np.array(p0.T, dtype=np.float64, order="C")
+    nxt = np.empty_like(cur)
     with np.errstate(divide="ignore"):
-        lprior = np.log(p0) - np.log1p(-p0)
+        lprior = np.log(cur) - np.log1p(-cur)
+    g = np.empty((nv, d_max, t))
+    tmp = np.empty_like(g)
+    acc = np.empty_like(cur)
     # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
     # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
-    src = np.empty((t, (nv if schedule == "belief" else partners[0].size) + 2))
-    src[:, -2:] = 1.0, 0.0
+    src = np.empty(((nv if schedule == "belief" else nv * d_max) + 2, t))
+    src[-2:] = [[1.0], [0.0]]
+    bias = src[:-2] if schedule == "belief" else src[:-2].reshape(nv, d_max, t)
     if schedule == "extrinsic":
-        src[:, :-2] = np.repeat(2.0 * p0 - 1.0, partners.shape[2], axis=1)
+        bias[...] = (2.0 * cur - 1.0)[:, None, :]
     for _ in range(iterations):
-        prev = p0  # frees the round before this one ahead of the per-edge arrays, which keeps the peak RSS
         if schedule == "belief":
-            src[:, :nv] = 2.0 * p0 - 1.0
-        d = src[:, partners[0]]
+            bias[...] = 2.0 * cur - 1.0
+        np.take(src, partners[0], axis=0, out=g, mode="clip")
         for p in partners[1:]:
-            d *= src[:, p]
+            np.take(src, p, axis=0, out=tmp, mode="clip")
+            np.multiply(g, tmp, out=g)
+        np.negative(g, out=tmp)
         with np.errstate(divide="ignore"):
-            g = np.log1p(d) - np.log1p(-d)
-        with np.errstate(invalid="ignore"):
-            llr = lprior + g.sum(axis=2)
-        # +inf meeting -inf: hard evidence for both values of one variable.
-        if np.isnan(llr).any():
-            raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
-        with np.errstate(over="ignore"):
-            p0 = 1.0 / (1.0 + np.exp(-llr))
-        np.clip(p0, _CLAMP, 1.0 - _CLAMP, out=p0)
+            np.log1p(tmp, out=tmp)
+            np.log1p(g, out=g)
+        np.subtract(g, tmp, out=g)
+        # nxt takes the LLR lprior + sum of messages, then the new p0. On the
+        # way, the running sum is, slot by slot, the prefix the extrinsic pass needs.
+        np.copyto(nxt, g[:, 0])
         if schedule == "extrinsic":
-            le = lprior[:, :, None] + _exclusive_sum(g)
-            src[:, :-2] = np.clip(np.tanh(le / 2.0), -_BIAS_MAX, _BIAS_MAX).reshape(t, -1)
-    hard = _hard(p0, observed)
-    return p0, hard, (hard == _hard(prev, observed)).all(axis=1)
+            bias[:, 0] = 0.0
+        with np.errstate(invalid="ignore"):
+            for k in range(1, d_max):
+                if schedule == "extrinsic":
+                    np.copyto(bias[:, k], nxt)
+                np.add(nxt, g[:, k], out=nxt)
+            np.add(nxt, lprior, out=nxt)
+        # +inf meeting -inf: hard evidence for both values of one variable.
+        if np.isnan(nxt).any():
+            raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
+        np.negative(nxt, out=nxt)
+        with np.errstate(over="ignore"):
+            np.exp(nxt, out=nxt)
+        np.add(nxt, 1.0, out=nxt)
+        np.divide(1.0, nxt, out=nxt)
+        np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
+        cur, nxt = nxt, cur
+        if schedule == "extrinsic":
+            # Each edge's bias: lprior + (prefix + suffix), the prefix already in
+            # place, the suffix built right to left into tmp.
+            tmp[:, -1] = 0.0
+            if d_max > 1:
+                np.copyto(acc, g[:, -1])
+                np.copyto(tmp[:, -2], acc)
+            for k in range(d_max - 3, -1, -1):
+                np.add(acc, g[:, k + 1], out=acc)
+                np.copyto(tmp[:, k], acc)
+            np.add(bias, tmp, out=bias)
+            np.add(bias, lprior[:, None, :], out=bias)
+            np.divide(bias, 2.0, out=bias)
+            np.tanh(bias, out=bias)
+            np.clip(bias, -_BIAS_MAX, _BIAS_MAX, out=bias)
+    hard = _hard(cur.T, observed)
+    return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1)
 
 
 def bp_decode(

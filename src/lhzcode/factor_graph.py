@@ -30,7 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """n_vars variable nodes and one even-parity check per index tuple."""
+    """n_vars variable nodes and one even-parity check per index tuple.
+
+    Graphs are cache keys (decoders._bp_layout), so the hash of the checks is
+    computed once here rather than on every lookup.
+    """
 
     n_vars: int
     checks: tuple[tuple[int, ...], ...]
@@ -44,6 +48,10 @@ class FactorGraph:
                 check_count("check variable", v, 0, self.n_vars - 1)
             if len(set(c)) != len(c):
                 raise ConfigError(f"check {c} touches a variable twice")
+        object.__setattr__(self, "_hash", hash((self.n_vars, self.checks)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_checks(self) -> int:

@@ -86,6 +86,17 @@ class TestFactorGraph:
         assert triangle_graph(4) == triangle_graph(4)
         assert hash(hamming_7_4()) == hash(hamming_7_4())
 
+    def test_equal_graphs_share_one_layout(self):
+        # Built separately, from fresh tuples: equal graphs hash equal, so the
+        # message-passing layout is built once for both.
+        a, b = (FactorGraph(10, tuple(tuple(c) for c in reversed(triangle_graph(5).checks))) for _ in range(2))
+        assert a is not b and a.checks is not b.checks
+        assert a == b and hash(a) == hash(b)
+        size = _bp_layout.cache_info().currsize
+        assert _bp_layout(a) is _bp_layout(b)
+        assert _bp_layout.cache_info().currsize == size + 1
+        assert FactorGraph(10, a.checks[1:]) != a
+
 
 class TestHamming:
     def test_rows(self):
