@@ -275,6 +275,7 @@ def _bp_batch(
             np.divide(bias, 2.0, out=bias)
             np.tanh(bias, out=bias)
             np.clip(bias, -_BIAS_MAX, _BIAS_MAX, out=bias)
+    # After the swap, nxt holds the beliefs of the round before the last.
     hard = _hard(cur.T, observed)
     return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1)
 
