@@ -131,25 +131,26 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 
 @lru_cache(maxsize=None)
 def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
-    """Variable-major partner tables, (max_weight - 1, n_vars, max_degree),
-    by schedule: [j, v, k] is the j-th partner of variable v in its k-th
-    check, in check order, as a variable u (belief) or as the edge
-    u*max_degree + k' that u's message to that check comes from (extrinsic).
-    The two indices past a table's variables or edges stand for bias 1,
-    which pads short checks, and bias 0, which pads short adjacency rows,
-    whose message is then 0."""
+    """Slot-major partner tables, (max_weight - 1, max_degree, n_vars), by
+    schedule: [j, k, v] is the j-th partner of variable v in its k-th check,
+    in check order, as a variable u (belief) or as the edge k'*n_vars + u
+    that u's message to that check comes from, u's k'-th check being this
+    one (extrinsic). The two indices past a table's variables or edges stand
+    for bias 1, which pads short checks, and bias 0, which pads the slots of
+    variables in fewer than max_degree checks, whose message is then 0."""
     nv, nc = graph.n_vars, graph.n_checks
     lens = np.fromiter(map(len, graph.checks), dtype=np.intp, count=nc)
     var = np.fromiter(chain.from_iterable(graph.checks), dtype=np.intp, count=int(lens.sum()))
-    # Edge e is position pos[e] of check chk[e]. Edges run check-major, so a
-    # stable sort by variable lists each variable's checks in check order.
+    # Edge e is position pos[e] of check chk[e] and slot slot[e] of variable
+    # var[e]. Edges run check-major, so a stable sort by variable lists each
+    # variable's checks in check order.
     chk = np.repeat(np.arange(nc), lens)
     pos = np.arange(var.size) - np.repeat(np.cumsum(lens) - lens, lens)
     deg = np.bincount(var, minlength=nv)
     d_max, w = max(1, int(deg.max(initial=0))), max(2, int(lens.max(initial=0)))
-    shift = np.arange(nv) * d_max - (np.cumsum(deg) - deg)  # edge id minus sorted place
-    edge = np.empty_like(var)
-    edge[np.argsort(var, kind="stable")] = np.arange(var.size) + np.repeat(shift, deg)
+    slot = np.empty_like(var)
+    slot[np.argsort(var, kind="stable")] = np.arange(var.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    edge = slot * nv + var
     # Position i's partners, the longer of its prefix and reversed suffix
     # first, so their left-to-right product rounds like a prefix times a
     # suffix product up to weight 4: (x3*x2)*x1, (x3*x2)*x0, (x0*x1)*x3, (x0*x1)*x2.
@@ -159,12 +160,12 @@ def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
     def partners(index: np.ndarray, n_src: int) -> np.ndarray:
         table = np.full((nc, w), n_src)
         table[chk, pos] = index
-        out = np.full((w - 1, nv * d_max), n_src + 1)
+        out = np.full((w - 1, d_max * nv), n_src + 1)
         out[:, edge] = table[chk[:, None], fold[pos]].T
         out.setflags(write=False)
-        return out.reshape(w - 1, nv, d_max)
+        return out.reshape(w - 1, d_max, nv)
 
-    return {"belief": partners(var, nv), "extrinsic": partners(edge, nv * d_max)}
+    return {"belief": partners(var, nv), "extrinsic": partners(edge, d_max * nv)}
 
 
 def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -189,47 +190,57 @@ def _bp_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run message passing on a (trials, n_vars) batch.
 
-    Returns (final p0, hard words, converged flags). All trials run the
-    full iteration count, at least one; the flag just records whether the
-    last round still changed anything. Every message is one log-likelihood
-    ratio log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the
-    product d of its other neighbours' biases, read through the partner
-    tables (the tanh rule), and a variable sums its prior LLR with its
-    incoming ones, so high-degree graphs cannot underflow.
+    Returns (final p0, hard words, converged flags) after the requested
+    rounds, at least one; the flag records whether the last round still
+    changed a hard decision. Every message is one log-likelihood ratio
+    log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the product
+    d of its other neighbours' biases, read through the partner tables (the
+    tanh rule), and a variable sums its prior LLR with its incoming ones, so
+    high-degree graphs cannot underflow.
 
-    Trials run innermost, the layout np.take gives a gather along axis 0:
-    per-variable state is (n_vars, trials), message sources (n_src + 2,
-    trials) and per-edge messages (n_vars, max_degree, trials). The two
-    per-edge message buffers, like the extrinsic schedule's per-edge
-    sources, are allocated once per call, and every round writes into them
-    with out=. Gathers use mode="clip", which np.take does not buffer; the
-    tables hold no index out of range. A variable's messages are added one
-    degree slot at a time, left to right, as are the prefix and suffix sums
-    of the extrinsic pass: numpy's own reductions add pairwise along a
-    contiguous axis, so a batch of one trial would round differently from a
-    larger one. With the order written out, a trial's beliefs do not depend
-    on its batch.
+    A round reads only the state the previous one left: the beliefs (belief
+    schedule), or the beliefs and the per-edge biases (extrinsic). Once the
+    whole batch's state repeats bit for bit, every later round would return
+    the same bytes, so the loop stops there; the outputs equal those of a
+    run through every round, with every converged flag set.
+
+    Trials run innermost and the per-edge arrays are slot-major, the layout
+    np.take gives a gather of the partner tables along axis 0: per-variable
+    state is (n_vars, trials), message sources (n_src + 2, trials) and
+    per-edge messages (max_degree, n_vars, trials), so each degree slot is
+    one contiguous (n_vars, trials) block. The per-edge buffers are
+    allocated once per call, and every round writes into them with out=;
+    the extrinsic schedule writes each round's biases into the other of two
+    source buffers, so the previous ones stay to compare with. Gathers use
+    mode="clip", which np.take does not buffer; the tables hold no index out
+    of range. A variable's messages are added one degree slot at a time, left
+    to right, as are the prefix and suffix sums of the extrinsic pass: numpy's
+    own reductions add pairwise along a contiguous axis, so a batch of one
+    trial would round differently from a larger one. With the order written
+    out, a trial's beliefs do not depend on its batch.
     """
+    extrinsic = schedule == "extrinsic"
     partners = _bp_layout(graph)[schedule]
-    _, nv, d_max = partners.shape
+    _, d_max, nv = partners.shape
     t = p0.shape[0]
     cur = np.array(p0.T, dtype=np.float64, order="C")
     nxt = np.empty_like(cur)
     with np.errstate(divide="ignore"):
         lprior = np.log(cur) - np.log1p(-cur)
-    g = np.empty((nv, d_max, t))
+    g = np.empty((d_max, nv, t))
     tmp = np.empty_like(g)
     acc = np.empty_like(cur)
     # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
     # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
-    src = np.empty(((nv if schedule == "belief" else nv * d_max) + 2, t))
+    src = np.empty(((d_max * nv if extrinsic else nv) + 2, t))
     src[-2:] = [[1.0], [0.0]]
-    bias = src[:-2] if schedule == "belief" else src[:-2].reshape(nv, d_max, t)
-    if schedule == "extrinsic":
-        bias[...] = (2.0 * cur - 1.0)[:, None, :]
+    if extrinsic:
+        new = src.copy()
+        src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
+        bias = new[:-2].reshape(d_max, nv, t)
     for _ in range(iterations):
-        if schedule == "belief":
-            bias[...] = 2.0 * cur - 1.0
+        if not extrinsic:
+            src[:-2] = 2.0 * cur - 1.0
         np.take(src, partners[0], axis=0, out=g, mode="clip")
         for p in partners[1:]:
             np.take(src, p, axis=0, out=tmp, mode="clip")
@@ -241,14 +252,14 @@ def _bp_batch(
         np.subtract(g, tmp, out=g)
         # nxt takes the LLR lprior + sum of messages, then the new p0. On the
         # way, the running sum is, slot by slot, the prefix the extrinsic pass needs.
-        np.copyto(nxt, g[:, 0])
-        if schedule == "extrinsic":
-            bias[:, 0] = 0.0
+        np.copyto(nxt, g[0])
+        if extrinsic:
+            bias[0] = 0.0
         with np.errstate(invalid="ignore"):
             for k in range(1, d_max):
-                if schedule == "extrinsic":
-                    np.copyto(bias[:, k], nxt)
-                np.add(nxt, g[:, k], out=nxt)
+                if extrinsic:
+                    np.copyto(bias[k], nxt)
+                np.add(nxt, g[k], out=nxt)
             np.add(nxt, lprior, out=nxt)
         # +inf meeting -inf: hard evidence for both values of one variable.
         if np.isnan(nxt).any():
@@ -260,21 +271,28 @@ def _bp_batch(
         np.divide(1.0, nxt, out=nxt)
         np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
         cur, nxt = nxt, cur
-        if schedule == "extrinsic":
+        # Bit patterns, so that -0.0 and +0.0 (or two NaNs) do not pass for equal.
+        settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
+        if extrinsic:
             # Each edge's bias: lprior + (prefix + suffix), the prefix already in
             # place, the suffix built right to left into tmp.
-            tmp[:, -1] = 0.0
+            tmp[-1] = 0.0
             if d_max > 1:
-                np.copyto(acc, g[:, -1])
-                np.copyto(tmp[:, -2], acc)
+                np.copyto(acc, g[-1])
+                np.copyto(tmp[-2], acc)
             for k in range(d_max - 3, -1, -1):
-                np.add(acc, g[:, k + 1], out=acc)
-                np.copyto(tmp[:, k], acc)
+                np.add(acc, g[k + 1], out=acc)
+                np.copyto(tmp[k], acc)
             np.add(bias, tmp, out=bias)
-            np.add(bias, lprior[:, None, :], out=bias)
+            np.add(bias, lprior, out=bias)
             np.divide(bias, 2.0, out=bias)
             np.tanh(bias, out=bias)
             np.clip(bias, -_BIAS_MAX, _BIAS_MAX, out=bias)
+            settled = settled and np.array_equal(new.view(np.uint64), src.view(np.uint64))
+            src, new = new, src
+            bias = new[:-2].reshape(d_max, nv, t)
+        if settled:
+            break
     # After the swap, nxt holds the beliefs of the round before the last.
     hard = _hard(cur.T, observed)
     return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1)

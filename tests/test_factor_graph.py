@@ -60,20 +60,20 @@ class TestFactorGraph:
             assert syndrome(fg, w).tolist() == (h @ w % 2).tolist()
 
     def test_adjacency(self):
-        # [j, v, k]: partner j of variable v in its k-th check, in check
+        # [j, k, v]: partner j of variable v in its k-th check, in check
         # order. Checks (0,1) and (0,3) are padded to weight 3 with the bias-1
         # index (variable 4, edge 8); variable 2 sits in one check, so its
-        # second row is the bias-0 index (variable 5, edge 9) throughout.
-        # Edges are v*2 + k: 0,1 | 2,3 | 4,(5) | 6,7.
+        # second slot is the bias-0 index (variable 5, edge 9) throughout.
+        # Edges are k*4 + v: slot 0 is 0,1,2,3 and slot 1 is 4,5,(6),7.
         fg = FactorGraph(4, ((0, 1), (1, 2, 3), (0, 3)))
         layout = _bp_layout(fg)
         assert layout["belief"].tolist() == [
-            [[4, 4], [4, 3], [3, 5], [1, 4]],
-            [[1, 3], [0, 2], [1, 5], [2, 0]],
+            [[4, 4, 3, 1], [4, 3, 5, 4]],
+            [[1, 0, 1, 2], [3, 2, 5, 0]],
         ]
         assert layout["extrinsic"].tolist() == [
-            [[8, 8], [8, 6], [6, 9], [3, 8]],
-            [[2, 7], [0, 4], [3, 9], [4, 1]],
+            [[8, 8, 3, 5], [8, 3, 9, 8]],
+            [[1, 0, 5, 2], [7, 2, 9, 4]],
         ]
         # bias 1 leaves the weight-2 checks exact, bias 0 sends message 0
         p = np.array([0.9, 0.3, 0.65, 0.2])
