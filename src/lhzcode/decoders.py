@@ -61,7 +61,8 @@ class DecodeOutcome:
                  is not a pairwise-parity layout (e.g. the Hamming fixture)
     word         full hard-decision physical word
     beliefs      final (p0, p1) per variable, message passing only
-    iterations   update rounds actually run (0 for one-shot decoders)
+    iterations   update rounds requested (0 for one-shot decoders); rounds
+                 after an exact fixed point are skipped, which changes no output
     converged    hard decisions identical over the last two rounds
     degenerate   every candidate was equally likely (epsilon = 1/2 search)
     """
@@ -131,8 +132,8 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 
 @lru_cache(maxsize=None)
 def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
-    """Slot-major partner tables, (max_weight - 1, max_degree, n_vars), by
-    schedule: [j, k, v] is the j-th partner of variable v in its k-th check,
+    """Degree-slot-major partner tables, (max_weight - 1, max_degree, n_vars),
+    by schedule: [j, k, v] is the j-th partner of variable v in its k-th check,
     in check order, as a variable u (belief) or as the edge k'*n_vars + u
     that u's message to that check comes from, u's k'-th check being this
     one (extrinsic). The two indices past a table's variables or edges stand
@@ -204,20 +205,20 @@ def _bp_batch(
     the same bytes, so the loop stops there; the outputs equal those of a
     run through every round, with every converged flag set.
 
-    Trials run innermost and the per-edge arrays are slot-major, the layout
-    np.take gives a gather of the partner tables along axis 0: per-variable
-    state is (n_vars, trials), message sources (n_src + 2, trials) and
-    per-edge messages (max_degree, n_vars, trials), so each degree slot is
-    one contiguous (n_vars, trials) block. The per-edge buffers are
-    allocated once per call, and every round writes into them with out=;
-    the extrinsic schedule writes each round's biases into the other of two
-    source buffers, so the previous ones stay to compare with. Gathers use
-    mode="clip", which np.take does not buffer; the tables hold no index out
-    of range. A variable's messages are added one degree slot at a time, left
-    to right, as are the prefix and suffix sums of the extrinsic pass: numpy's
-    own reductions add pairwise along a contiguous axis, so a batch of one
-    trial would round differently from a larger one. With the order written
-    out, a trial's beliefs do not depend on its batch.
+    Trials run innermost and the per-edge arrays are degree-slot-major, the
+    layout np.take gives a gather of the partner tables along axis 0:
+    per-variable state is (n_vars, trials), message sources (n_src + 2,
+    trials) and per-edge messages (max_degree, n_vars, trials), so each
+    degree slot is one contiguous (n_vars, trials) block. The per-edge
+    buffers are allocated once per call, and every round writes into them
+    with out=; the extrinsic schedule writes each round's biases into the
+    other of two source buffers, so the previous ones stay to compare with.
+    Gathers use mode="clip", which np.take does not buffer; the tables hold
+    no index out of range. A variable's messages are added one degree slot at
+    a time, left to right, as are the prefix and suffix sums of the extrinsic
+    pass: numpy's own reductions add pairwise along a contiguous axis, so a
+    batch of one trial would round differently from a larger one. With the
+    order written out, a trial's beliefs do not depend on its batch.
     """
     extrinsic = schedule == "extrinsic"
     partners = _bp_layout(graph)[schedule]

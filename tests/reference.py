@@ -196,11 +196,13 @@ def mle_batch_distance(words: np.ndarray, n: int) -> np.ndarray:
 
 # ------------------------------------------- slot-major LLR engine (oracle)
 #
-# The engine message passing ran before the variable-major partner tables:
-# a check gathers its biases, takes two cumulative products and writes one
-# message per (check, position) slot, which each variable gathers back. The
-# variable-major engine must reproduce it bit for bit on checks of weight
-# <= 4.
+# The engine message passing ran before the partner tables: a check gathers
+# its biases, takes two cumulative products and writes one message per
+# (check, position) slot, which each variable gathers back. Its arrays are
+# (trials, slots), trials outermost, and it always runs every round. The
+# package engine, whose per-edge arrays are (degree slot, variable, trials)
+# and which stops at an exact fixed point, must reproduce it bit for bit on
+# checks of weight <= 4.
 
 class _BpLayout(NamedTuple):
     checks: np.ndarray    # (n_checks, max_weight) variable indices, padded with n_vars

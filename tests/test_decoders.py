@@ -238,9 +238,10 @@ _SLOT_MAJOR_IDS = [f"tri{n}" for n in range(3, 13)] + [f"planar{n}" for n in ran
 
 
 class TestBpAgainstSlotMajor:
-    """The variable-major engine against the slot-major one it replaced,
-    bit for bit: every graph here has checks of weight <= 4. Batches of one
-    trial stay out: there the oracle's own g.sum adds pairwise."""
+    """The package engine, per-edge arrays by degree slot, against the
+    engine of (check, position) slots it replaced, bit for bit: every graph
+    here has checks of weight <= 4. Batches of one trial stay out: there the
+    oracle's own g.sum adds pairwise."""
 
     @staticmethod
     def _check(graph, schedule, t):
@@ -279,6 +280,108 @@ class TestBpAgainstSlotMajor:
     @pytest.mark.parametrize("graph", _SLOT_MAJOR_GRAPHS, ids=_SLOT_MAJOR_IDS)
     def test_bit_identical_batch_sizes(self, graph, schedule, t):
         self._check(graph, schedule, t)
+
+
+def _exit_batch(graph, eps, t=16, seed=41):
+    """Observed words and three prior kinds for a batch of noisy codewords:
+    channel priors, the same with a tenth of the rows exactly hard toward the
+    sent codeword (prior LLR +-inf), and uniform random priors."""
+    rng = stream(seed, graph.n_vars)
+    true = encode(rng.integers(0, 2, (t, num_logical(graph.n_vars)), dtype=np.uint8))
+    observed = apply_iid_flip(true, NoiseModel(eps), rng)
+    channel = np.where(observed == 0, 1.0 - eps, eps)
+    hard = rng.random(observed.shape) < 0.1
+    priors = {"channel": channel, "hard": np.where(hard, 1.0 - true, channel),
+              "uniform": rng.uniform(0.02, 0.98, observed.shape)}
+    return observed, priors
+
+
+class _CountLog1p:
+    """Stands in for numpy inside lhzcode.decoders and counts np.log1p calls:
+    _bp_batch makes one for the prior LLRs and two per round it runs."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log1p(self, *args, **kwargs):
+        self.calls += 1
+        return np.log1p(*args, **kwargs)
+
+
+_EXIT_CASES = (
+    [pytest.param(triangle_graph(n), 0.05, s, 16, 41, id=f"tri{n}-{s}") for n in (12, 14, 16) for s in SCHEDULES]
+    + [pytest.param(planar_lhz_graph(20), 0.1, s, 16, 41, id=f"planar20-{s}") for s in SCHEDULES]
+    + [
+        pytest.param(planar_lhz_graph(20), 0.1, "belief", 4, 41, id="planar20-belief-t4"),
+        pytest.param(planar_lhz_graph(20), 0.1, "extrinsic", 4, 46, id="planar20-extrinsic-t4"),
+        pytest.param(triangle_graph(20), 0.2, "extrinsic", 16, 41, id="tri20-extrinsic"),
+    ]
+)
+
+
+class TestBpFixedPointExit:
+    """_bp_batch stops once a batch's state repeats bit for bit; the oracle
+    slot_major_bp_batch always runs every round. The triangle batches at eps
+    0.05 settle within a few rounds, the planar ones run longer (uniform
+    priors never settle in 40 rounds), and at triangle n=20, eps 0.2 the
+    trials settle at different rounds, so settled trials are recomputed
+    while the rest of the batch goes on. In the four-trial planar batches
+    the hard decisions stop changing while the beliefs still move (belief),
+    and with hard priors the beliefs repeat while the per-edge biases still
+    change (extrinsic), so an exit on either would stop too soon."""
+
+    @pytest.mark.parametrize("graph,eps,schedule,t,seed", _EXIT_CASES)
+    def test_matches_every_round(self, graph, eps, schedule, t, seed):
+        observed, priors = _exit_batch(graph, eps, t, seed)
+        for iterations in (1, 2, 3, 4, 7, 40):
+            for kind, p0 in priors.items():
+                runs = []
+                for engine in (_bp_batch, slot_major_bp_batch):
+                    try:
+                        runs.append(engine(graph, p0, observed, iterations, schedule))
+                    except InconsistentEvidenceError:
+                        runs.append(None)
+                new, old = runs
+                assert (new is None) == (old is None), (kind, iterations)
+                for a, b in zip(new or (), old or ()):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kind, iterations)
+
+    @staticmethod
+    def _rounds_run(monkeypatch, graph, p0, observed, iterations, schedule):
+        spy = _CountLog1p()
+        with monkeypatch.context() as m:
+            m.setattr(lhzcode.decoders, "np", spy)
+            out = _bp_batch(graph, p0, observed, iterations, schedule)
+        return (spy.calls - 1) // 2, out
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_settled_batch_skips_rounds(self, monkeypatch, schedule):
+        graph = triangle_graph(14)
+        observed, priors = _exit_batch(graph, 0.05)
+        for kind, p0 in priors.items():
+            rounds, (beliefs, hard, conv) = self._rounds_run(monkeypatch, graph, p0, observed, 40, schedule)
+            assert rounds < 40 and conv.all(), kind
+            # One more round, from scratch, lands on the same bytes.
+            again = _bp_batch(graph, p0, observed, rounds + 1, schedule)
+            assert again[0].tobytes() == beliefs.tobytes() and (again[1] == hard).all(), kind
+
+    def test_outcome_reports_requested_rounds(self, monkeypatch):
+        g = encode([0, 1, 1, 0, 1, 0])
+        rounds, _ = self._rounds_run(monkeypatch, triangle_graph(6), np.where(g == 0, 0.9, 0.1)[None, :], g[None, :],
+                                     40, "belief")
+        out = bp_decode(triangle_graph(6), channel_prior(g, NoiseModel(0.1)), iterations=40, observed=g)
+        assert rounds < 40 and out.iterations == 40 and out.converged
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_unsettled_batch_runs_every_round(self, monkeypatch, schedule):
+        graph = planar_lhz_graph(20)
+        observed, priors = _exit_batch(graph, 0.1)
+        for iterations in (5, 40):
+            rounds, _ = self._rounds_run(monkeypatch, graph, priors["uniform"], observed, iterations, schedule)
+            assert rounds == iterations
 
 
 class TestBpTreeExactness:
@@ -459,12 +562,13 @@ class TestBpProperties:
         rng = stream(31, graph.n_vars, {"belief": 1, "extrinsic": 2}[schedule])
         words = (rng.random((33, graph.n_vars)) < 0.15).astype(np.uint8)
         priors = {"channel": np.where(words == 0, 0.85, 0.15), "uniform": rng.uniform(0.02, 0.98, words.shape)}
-        for kind, p0 in priors.items():
-            batch = _bp_batch(graph, p0, words, 5, schedule)
+        # At 40 rounds a trial alone may settle, and stop, before its batch does.
+        for iterations, (kind, p0) in itertools.product((5, 40), priors.items()):
+            batch = _bp_batch(graph, p0, words, iterations, schedule)
             for i in range(words.shape[0]):
-                alone = _bp_batch(graph, p0[i : i + 1], words[i : i + 1], 5, schedule)
+                alone = _bp_batch(graph, p0[i : i + 1], words[i : i + 1], iterations, schedule)
                 for a, b in zip(alone, batch):
-                    assert (a[0] == b[i]).all(), (kind, i)
+                    assert (a[0] == b[i]).all(), (kind, iterations, i)
 
 
 def _float64_rounding():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,35 @@ class TestFactorGraph:
         for schedule, ref in zip(SCHEDULES, (naive_belief_bp, naive_extrinsic_bp)):
             out = bp_decode(fg, priors, iterations=3, schedule=schedule)
             assert np.abs(out.beliefs - ref(fg, priors, 3)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "graph",
+        [triangle_graph(7), planar_lhz_graph(8), hamming_7_4(), FactorGraph(5, ((0, 1), (1, 2, 3))), FactorGraph(3, ())],
+        ids=["triangle7", "planar8", "hamming", "isolated", "no-checks"],
+    )
+    def test_layout_round_trip(self, graph):
+        # Slot k of variable v lists the other variables of v's k-th check
+        # (belief), or their edge ids k'*n_vars + u, u's k'-th check being the
+        # same one (extrinsic); each table pads the rest with its bias-1 index.
+        # Slots at or past deg(v) hold only the bias-0 index.
+        layout = _bp_layout(graph)
+        nv = graph.n_vars
+        in_checks = [[ci for ci, c in enumerate(graph.checks) if v in c] for v in range(nv)]
+        d_max = max(1, max(map(len, in_checks)))
+        w = max(2, max(map(len, graph.checks), default=0))
+        edge = {(u, ci): k * nv + u for u in range(nv) for k, ci in enumerate(in_checks[u])}
+        for schedule, n_src in (("belief", nv), ("extrinsic", d_max * nv)):
+            table = layout[schedule]
+            assert table.shape == (w - 1, d_max, nv) and not table.flags.writeable
+            for v, k in itertools.product(range(nv), range(d_max)):
+                got = sorted(table[:, k, v].tolist())
+                if k >= len(in_checks[v]):
+                    assert got == [n_src + 1] * (w - 1), (schedule, v, k)
+                    continue
+                ci = in_checks[v][k]
+                others = [u for u in graph.checks[ci] if u != v]
+                want = others if schedule == "belief" else [edge[u, ci] for u in others]
+                assert got == sorted(want + [n_src] * (w - 1 - len(others))), (schedule, v, k)
 
     def test_hashable(self):
         assert triangle_graph(4) == triangle_graph(4)
