@@ -272,7 +272,7 @@ def _bp_batch(
         np.divide(1.0, nxt, out=nxt)
         np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
         cur, nxt = nxt, cur
-        # Bit patterns, so that -0.0 and +0.0 (or two NaNs) do not pass for equal.
+        # Bit patterns: only equal bytes are sure to give an equal next round (-0.0 == +0.0).
         settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
         if extrinsic:
             # Each edge's bias: lprior + (prefix + suffix), the prefix already in
