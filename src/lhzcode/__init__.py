@@ -10,12 +10,10 @@ Carlo harness with analytic bounds (sim), and a CLI (cli).
 from .channel import NoiseModel, apply_iid_flip, channel_prior, stream
 from .codes import (
     as_bits,
-    consecutive_bits,
     consecutive_indices,
     encode,
     index_pair,
     logical_from_consecutive,
-    logical_readout,
     num_logical,
     num_pairs,
     pair_index,
@@ -40,7 +38,6 @@ from .factor_graph import (
     FactorGraph,
     enumerate_codewords,
     gf2_rank,
-    hamming_7_4,
     planar_lhz_graph,
     syndrome,
     triangle_graph,

@@ -1,6 +1,7 @@
 """Command line front end: graph inspection, one-shot decoding, sweeps, bounds.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags or values), 2 when a
+Exit codes: 0 on success, 1 on usage errors (bad flags or values) and when
+stdout is closed before all output is written (e.g. piped into head), 2 when a
 decoder refuses a cell on capacity grounds. Output rows have a fixed column
 order and %.6g float formatting, so identical invocations give identical
 bytes and --threads never changes the output.
@@ -20,7 +21,6 @@ from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
 from .errors import CapacityError, ConfigError, DimensionError, LhzError
-from .factor_graph import hamming_7_4
 from .sim import (
     DECODER_IDS,
     GRAPH_KINDS,
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     g = sub.add_parser("graph", help="print a constraint graph")
-    g.add_argument("kind", choices=("triangle", "planar", "hamming"))
-    g.add_argument("--n", type=int, help="logical size (triangle/planar)")
+    g.add_argument("kind", choices=GRAPH_KINDS)
+    g.add_argument("--n", type=int, required=True, help="logical size")
     g.add_argument("--format", choices=("text", "json"), default="text")
     g.set_defaults(func=cmd_graph)
 
@@ -176,29 +176,17 @@ _parser = functools.cache(build_parser)  # main's parser, built once per process
 
 
 def cmd_graph(args) -> int:
-    if (args.kind == "hamming") != (args.n is None):
-        raise ConfigError(f"graph {args.kind} {'takes no' if args.n is not None else 'needs'} --n")
-    if args.kind == "hamming":
-        fg = hamming_7_4()
-        pairs = None
-    else:
-        fg = graph_for(args.kind, args.n)
-        pairs = pair_table(args.n)
+    fg = graph_for(args.kind, args.n)
+    pairs = pair_table(args.n)
     if args.format == "json":
-        obj = {"kind": args.kind, "n_vars": fg.n_vars, "n_checks": fg.n_checks}
-        if pairs is not None:
-            obj["n"] = args.n
-            obj["pairs"] = [list(pq) for pq in pairs]
-        obj["checks"] = [list(c) for c in fg.checks]
-        print(json.dumps(obj))
+        print(json.dumps({"kind": args.kind, "n_vars": fg.n_vars, "n_checks": fg.n_checks, "n": args.n,
+                          "pairs": [list(pq) for pq in pairs], "checks": [list(c) for c in fg.checks]}))
     else:
         print(f"kind: {args.kind}")
-        if pairs is not None:
-            print(f"n: {args.n}")
+        print(f"n: {args.n}")
         print(f"n_vars: {fg.n_vars}")
         print(f"n_checks: {fg.n_checks}")
-        if pairs is not None:
-            print("pairs: " + " ".join(f"({i},{j})" for i, j in pairs))
+        print("pairs: " + " ".join(f"({i},{j})" for i, j in pairs))
         for ci, c in enumerate(fg.checks):
             print(f"check {ci}: " + " ".join(str(v) for v in c))
     return 0
@@ -290,13 +278,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LhzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader went away. As the Python docs advise for SIGPIPE, point
+        # stdout at devnull so the interpreter's last flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ __all__ = [
     "pair_table",
     "as_bits",
     "encode",
-    "logical_readout",
-    "consecutive_bits",
     "consecutive_indices",
     "logical_from_consecutive",
 ]
@@ -113,32 +111,11 @@ def encode(bits) -> np.ndarray:
     return b[..., iu] ^ b[..., ju]
 
 
-def logical_readout(g) -> np.ndarray:
-    """Gauge-fixed logical word from a physical word: b_1 = 0, b_j = g_1j.
-
-    Only exact on codewords; a noisy word reads out whatever its first
-    row says.
-    """
-    g = as_bits(g)
-    n = num_logical(g.size)
-    b = np.zeros(n, dtype=np.uint8)
-    b[1:] = g[: n - 1]
-    return b
-
-
 def consecutive_indices(n: int) -> np.ndarray:
     """Linear indices of the consecutive pairs (1,2), (2,3), ..., (n-1,n)."""
     check_count("n", n, 2, MAX_N)
     i = np.arange(1, n, dtype=np.intp)
     return (i - 1) * (2 * n - i) // 2
-
-
-def consecutive_bits(g) -> np.ndarray:
-    """The n-1 bits g_(i,i+1). They fix the logical word up to global flip,
-    so two physical words agree logically iff they agree on this slice."""
-    g = as_bits(g)
-    n = num_logical(g.size)
-    return g[consecutive_indices(n)]
 
 
 def logical_from_consecutive(c) -> np.ndarray:

@@ -58,7 +58,7 @@ class DecodeOutcome:
     """What a decoder hands back for one observed word.
 
     consecutive  decoded bits g_(i,i+1), length n-1; None when the graph
-                 is not a pairwise-parity layout (e.g. the Hamming fixture)
+                 is not a pairwise-parity layout
     word         full hard-decision physical word
     beliefs      final (p0, p1) per variable, message passing only
     iterations   update rounds requested (0 for one-shot decoders); rounds

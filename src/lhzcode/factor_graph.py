@@ -2,8 +2,8 @@
 
 A FactorGraph is the bipartite view of a binary parity-check matrix: one
 tuple of variable indices per even-parity constraint. Constructors cover
-the two constraint systems of the pairwise-parity code (the full triangle
-set and the planar subset) and a small textbook fixture.
+the two constraint systems of the pairwise-parity code: the full triangle
+set and the planar subset.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import CapacityError, ConfigError, DimensionError, check_count, che
 
 __all__ = [
     "FactorGraph",
-    "hamming_7_4",
     "triangle_graph",
     "planar_lhz_graph",
     "syndrome",
@@ -56,14 +55,6 @@ class FactorGraph:
     @property
     def n_checks(self) -> int:
         return len(self.checks)
-
-
-def hamming_7_4() -> FactorGraph:
-    """The [7,4] single-error-correcting fixture.
-
-    Rows of the check matrix: 1110100, 0111010, 0011101.
-    """
-    return FactorGraph(7, ((0, 1, 2, 4), (1, 2, 3, 5), (2, 3, 4, 6)))
 
 
 def triangle_graph(n: int) -> FactorGraph:

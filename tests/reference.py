@@ -5,7 +5,9 @@ message passing, no shared code with the package internals beyond the public
 FactorGraph/syndrome/encode surface. The exceptions are the bit-exact oracles
 of two vectorised kernels: the Hamming-distance nearest-codeword search, which
 reads the candidates in the package's counter order, and the slot-major LLR
-engine at the end.
+engine at the end. The first three helpers are test-only: the [7,4] Hamming
+graph, the one fixture that is not a pairwise-parity layout, and the
+gauge-fixed readout and consecutive-pair slice of a physical word.
 """
 
 import itertools
@@ -15,8 +17,39 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lhzcode import CapacityError, FactorGraph, InconsistentEvidenceError, encode, pair_index, syndrome
+from lhzcode import (
+    CapacityError,
+    FactorGraph,
+    InconsistentEvidenceError,
+    as_bits,
+    encode,
+    num_logical,
+    pair_index,
+    syndrome,
+)
 from lhzcode.decoders import MLE_MAX_LOGICAL, _counter_bits
+
+
+def hamming_7_4():
+    """The [7,4] single-error-correcting code: rows 1110100, 0111010, 0011101."""
+    return FactorGraph(7, ((0, 1, 2, 4), (1, 2, 3, 5), (2, 3, 4, 6)))
+
+
+def logical_readout(g):
+    """Gauge-fixed logical word of a physical word: b_1 = 0, b_j = g_1j.
+
+    Only exact on codewords; a noisy word reads out whatever its first row says.
+    """
+    g = as_bits(g)
+    n = num_logical(g.size)
+    return np.concatenate(([0], g[: n - 1])).astype(np.uint8)
+
+
+def consecutive_bits(g):
+    """The n-1 bits g_(i,i+1), which fix the logical word up to a global flip."""
+    g = as_bits(g)
+    n = num_logical(g.size)
+    return g[[pair_index(i, i + 1, n) for i in range(1, n)]]
 
 
 def exact_marginals(graph, priors):

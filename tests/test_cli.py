@@ -1,10 +1,17 @@
+import dataclasses
+import hashlib
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import lhzcode.cli
-from lhzcode import InconsistentEvidenceError
-from lhzcode.cli import OUTPUT_COLUMNS, main
+from lhzcode import InconsistentEvidenceError, SimConfig, bp_decode, run_cell
+from lhzcode.cli import OUTPUT_COLUMNS, build_parser, main
 
 FLOAT_COLUMNS = {"epsilon", "p_fail", "stderr", "chernoff", "union_bound"}
 
@@ -38,17 +45,32 @@ class TestGraphCmd:
         assert "n_checks: 3" in lines
         assert "check 2: 1 2 3 4" in lines
 
-    def test_hamming(self, capsys):
-        code, out, _ = run_cli(capsys, "graph", "hamming", "--format", "json")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["n_vars"] == 7
-        assert obj["checks"] == [[0, 1, 2, 4], [1, 2, 3, 5], [2, 3, 4, 6]]
+    # sha256 of the whole stdout, so any changed byte, key order or line order shows
+    FROZEN = {
+        ("triangle", 2, "text"): "dae236e6163b65142dd1004fd31487038eca79f14304f402085b2b272289eb12",
+        ("triangle", 2, "json"): "5b6b3800ad910fd0e942050a7983ec5ddbe5b3cb2b32416aeb6240da9a277abe",
+        ("triangle", 4, "text"): "654f58997ff099b42487402a92b2446e68642f2111f5f0eb988a813a61590015",
+        ("triangle", 4, "json"): "f79ee98f4dcffa7eff2b784a1d87cfff4dae975a5462f33ab8743cdd883f294d",
+        ("triangle", 5, "text"): "03d10656ef24cdea09d9b39b458b9d253e9cccee2e7582c67e5e3d6564257d0c",
+        ("triangle", 5, "json"): "5f2cef8a2c181522d4b5cb6c3a32145ef06aa51c54771f3f605b6327af450a65",
+        ("planar", 2, "text"): "fa35b276678f3a325f028c74c608a7cfda7aa7a6187b14209324f66162219913",
+        ("planar", 2, "json"): "f189e66984440a6f61035e9f2c12b334f10d09d01050a8724bb81c02fd946f27",
+        ("planar", 4, "text"): "ff283a09822789edc9d65840a371228212be89bdc112ee8f6177955515b0cd0f",
+        ("planar", 4, "json"): "856c04a0422d5ea74378258af865e99fcf1464dcc567e9cf166c567dfee39d18",
+        ("planar", 5, "text"): "78d0dcaa9ad872fcea03a5bfd127bd1e3abd5fc4a46e5eacc218108a56740b6f",
+        ("planar", 5, "json"): "f1a50297c271d2dc71eb0baf4e86514b4038fd5e4358a8526ee033943bdbc713",
+    }
+
+    @pytest.mark.parametrize("kind, n, fmt", list(FROZEN), ids=[f"{k}-{n}-{f}" for k, n, f in FROZEN])
+    def test_frozen_bytes(self, capsys, kind, n, fmt):
+        code, out, err = run_cli(capsys, "graph", kind, "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FROZEN[kind, n, fmt]
 
     def test_missing_n(self, capsys):
         code, _, err = run_cli(capsys, "graph", "triangle")
         assert code == 1
-        assert "needs --n" in err
+        assert "required: --n" in err
 
     @pytest.mark.parametrize("kind", ["triangle", "planar"])
     def test_n2_is_the_graph_decoders_run_on(self, capsys, kind):
@@ -287,3 +309,33 @@ class TestTopLevel:
         assert lhzcode.cli._parser.cache_info().misses == 1
         build = lhzcode.cli.build_parser
         assert build() is not build()  # the public builder still hands out a fresh parser
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # 2999 bound rows are more than a pipe buffer holds, so a write fails
+        # once the reader has closed its end after the header line.
+        env = dict(os.environ, PYTHONPATH=str(Path(lhzcode.cli.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "lhzcode.cli", "bound", "--n", "2..3000", "--eps", "0.1"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert header == b"n,epsilon,eps_star,chernoff,union_bound\n"
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_defaults_agree():
+    # The settings defaults are written in SimConfig, run_cell, bp_decode and
+    # the simulate and decode parsers; they must be one set.
+    config = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    cell = {name: p.default for name, p in inspect.signature(run_cell).parameters.items()}
+    bp = {name: p.default for name, p in inspect.signature(bp_decode).parameters.items()}
+    simulate = vars(build_parser().parse_args(["simulate", "--n", "4", "--eps", "0.1"]))
+    decode = vars(build_parser().parse_args(["decode", "011"]))
+    assert simulate["trials"] == config["trials"]
+    assert simulate["iterations"] == decode["iterations"] == cell["bp_iterations"] == bp["iterations"] == config["bp_iterations"]
+    assert simulate["schedule"] == decode["schedule"] == cell["schedule"] == bp["schedule"] == config["schedule"]
+    assert simulate["graph"] == decode["graph"] == cell["graph"] == config["graph"]
+    assert simulate["include_direct"] == decode["include_direct"] == cell["include_direct"] == config["include_direct"]
+    for flag in ("all_zero", "shared_noise"):
+        assert simulate[flag] == cell[flag] == config[flag], flag

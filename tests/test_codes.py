@@ -8,17 +8,16 @@ from lhzcode import (
     DimensionError,
     InvalidPairError,
     as_bits,
-    consecutive_bits,
     consecutive_indices,
     encode,
     index_pair,
     logical_from_consecutive,
-    logical_readout,
     num_logical,
     num_pairs,
     pair_index,
     pair_table,
 )
+from reference import consecutive_bits, logical_readout
 
 bit_words = st.integers(2, 9).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)

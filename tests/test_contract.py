@@ -39,12 +39,10 @@ VALID = {
     "channel_prior": dict(g_obs=WORD, model=NoiseModel(0.1)),
     "stream": dict(master_seed=1),
     "as_bits": dict(seq=WORD),
-    "consecutive_bits": dict(g=WORD),
     "consecutive_indices": dict(n=3),
     "encode": dict(bits=WORD),
     "index_pair": dict(k=1, n=3),
     "logical_from_consecutive": dict(c=[0, 1]),
-    "logical_readout": dict(g=WORD),
     "num_logical": dict(k=3),
     "num_pairs": dict(n=3),
     "pair_index": dict(i=1, j=2, n=3),
@@ -57,7 +55,6 @@ VALID = {
     "FactorGraph": dict(n_vars=3, checks=((0, 1, 2),)),
     "enumerate_codewords": dict(graph=triangle_graph(3)),
     "gf2_rank": dict(graph=triangle_graph(3)),
-    "hamming_7_4": dict(),
     "planar_lhz_graph": dict(n=3),
     "syndrome": dict(graph=triangle_graph(3), word=WORD),
     "triangle_graph": dict(n=3),

@@ -20,13 +20,10 @@ from lhzcode import (
     apply_iid_flip,
     bp_decode,
     channel_prior,
-    consecutive_bits,
     consecutive_indices,
     encode,
     enumerate_codewords,
     epsilon_star,
-    hamming_7_4,
-    logical_readout,
     majority_vote_decode,
     mle_decode,
     num_logical,
@@ -40,7 +37,10 @@ import lhzcode.decoders
 from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch
 
 from reference import (
+    consecutive_bits,
     exact_marginals,
+    hamming_7_4,
+    logical_readout,
     mle_batch_distance,
     naive_belief_bp,
     naive_extrinsic_bp,
