@@ -1,10 +1,10 @@
 """Command line front end: graph inspection, one-shot decoding, sweeps, bounds.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or values) and when
-stdout is closed before all output is written (e.g. piped into head), 2 when a
-decoder refuses a cell on capacity grounds. Output rows have a fixed column
-order and %.6g float formatting, so identical invocations give identical
-bytes and --threads never changes the output.
+stdout is closed before all output is written (e.g. piped into head), 2 when
+work is refused on capacity grounds (a search or a constraint graph too
+large). Output rows have a fixed column order and %.6g float formatting, so
+identical invocations give identical bytes and --threads never changes them.
 """
 
 from __future__ import annotations
@@ -16,37 +16,17 @@ import os
 import secrets
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
 from .errors import CapacityError, ConfigError, DimensionError, LhzError
-from .sim import (
-    DECODER_IDS,
-    GRAPH_KINDS,
-    SimConfig,
-    chernoff_bound,
-    graph_for,
-    run_sweep,
-    union_bound,
-)
+from .sim import DECODER_IDS, GRAPH_KINDS, SimConfig, SimResult, chernoff_bound, graph_for, run_sweep, union_bound
 
 __all__ = ["OUTPUT_COLUMNS", "main", "build_parser"]
 
-OUTPUT_COLUMNS = (
-    "decoder",
-    "graph",
-    "n",
-    "epsilon",
-    "iterations",
-    "trials",
-    "failures",
-    "p_fail",
-    "stderr",
-    "chernoff",
-    "union_bound",
-    "seed",
-)
+OUTPUT_COLUMNS = tuple(f.name for f in fields(SimResult) if f.compare)
 _BOUND_COLUMNS = ("n", "epsilon", "eps_star", "chernoff", "union_bound")
 
 

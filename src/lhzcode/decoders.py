@@ -51,6 +51,8 @@ SCHEDULES = ("belief", "extrinsic")
 # 2^(n-1) candidates get enumerated; past this the search is hopeless anyway.
 MLE_MAX_LOGICAL = 24
 _MLE_BLOCK_BYTES = 4 << 20  # per float32 candidate or score block: candidates * max(k, trials) * 4
+_BP_TRIALS = 32  # per message-passing batch, fewer past triangle n = 40 (_bp_rows)
+_BP_BLOCK_BYTES = 8 << 20  # per float64 per-edge array of a batch: max_degree * n_vars * trials * 8
 
 
 @dataclass
@@ -167,6 +169,13 @@ def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
         return out.reshape(w - 1, d_max, nv)
 
     return {"belief": partners(var, nv), "extrinsic": partners(edge, d_max * nv)}
+
+
+def _bp_rows(graph: FactorGraph) -> int:
+    """Trials per _bp_batch call on graph: _BP_TRIALS, fewer (at least one) where
+    a per-edge array would pass _BP_BLOCK_BYTES. It sizes memory, never output."""
+    _, d_max, nv = _bp_layout(graph)["belief"].shape
+    return max(1, min(_BP_TRIALS, _BP_BLOCK_BYTES // (8 * d_max * nv)))
 
 
 def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:

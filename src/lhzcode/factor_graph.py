@@ -8,6 +8,7 @@ set and the planar subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -25,6 +26,10 @@ __all__ = [
     "gf2_rank",
     "enumerate_codewords",
 ]
+
+# (check, variable) edges the graph constructors refuse to pass, past triangle n = 323 and planar n = 2898:
+# each costs ~40 bytes of tuples, and message passing float64 arrays of one entry per trial.
+_MAX_EDGES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,17 @@ def triangle_graph(n: int) -> FactorGraph:
     """All C(n,3) weight-3 checks g_ij + g_ik + g_jk = 0 (mod 2).
 
     Heavily redundant: every variable sits in n-2 triangles, while only
-    k - n + 1 checks are independent. At n = 2 there are none.
+    k - n + 1 checks are independent. At n = 2 there are none. Past
+    _MAX_EDGES edges it raises CapacityError.
     """
     check_count("n", n, 2, MAX_N)
+    _check_edges("triangle", n, 3 * math.comb(n, 3))
     return _triangle_graph(n)
+
+
+def _check_edges(kind: str, n: int, edges: int) -> None:
+    if edges > _MAX_EDGES:  # counted in closed form, before anything is built
+        raise CapacityError(f"the {kind} graph at n={n} has {edges} edges, past the {_MAX_EDGES}-edge limit")
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +95,10 @@ def planar_lhz_graph(n: int) -> FactorGraph:
     Plaquette (i,j) for 1 <= i, i+2 <= j <= n-1 ties the four corners
     (i,j), (i,j+1), (i+1,j), (i+1,j+1), emitted row-major in (i, j).
     Total k - n + 1 checks, which is exactly the GF(2) rank, so none is
-    redundant; at n = 2 that is none.
+    redundant; at n = 2 that is none. Past _MAX_EDGES edges it raises CapacityError.
     """
     check_count("n", n, 2, MAX_N)
+    _check_edges("planar", n, 3 * (n - 2) + 4 * math.comb(n - 2, 2))
     return _planar_lhz_graph(n)
 
 

@@ -8,6 +8,8 @@ depend on which of the two logical preimages the decoder lands on.
 Each cell reads its bits and flips from two RNG streams keyed by (seed,
 decoder id, n, eps index), trial after trial, so results are prefix-stable
 in trials and byte-identical under any block size, cell order, or threads.
+run_cell's block loop, the only loop over a cell's trials, takes _DRAW_BLOCK
+trials at a time, or for message passing the batch decoders._bp_rows sizes.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ import numpy as np
 
 from .channel import NoiseModel, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
-from .decoders import (
-    SCHEDULES,
-    _bp_batch,
-    _majority_batch,
-    _mle_batch,
-    epsilon_star,
-)
+from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, epsilon_star
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
@@ -52,8 +48,7 @@ GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
-_DRAW_BLOCK = 1024      # trials drawn, decoded and scored at a time, keeps the uniforms ~6 MB at n=40
-_BP_TRIAL_CHUNK = 32    # trials per message-passing batch, keeps its per-edge arrays ~8 MB at n=40
+_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, keeps the uniforms ~6 MB at n=40
 
 
 def chernoff_bound(n: int, epsilon: float) -> float:
@@ -127,6 +122,9 @@ class SimResult:
     consecutive bit alone, which is the quantity the analytic per-bit
     bound speaks about. stderr is the Wald standard error, replaced by
     the rule-of-three upper bound 3/trials when nothing failed.
+
+    compare=False fields, such as pair_failures, are extras: left out of
+    equality and of the default output rows, whose columns are the rest.
     """
 
     decoder: str
@@ -192,24 +190,18 @@ def _draw_words(cell: SimConfig, rngs: tuple, rows: int) -> tuple[np.ndarray, np
     return true, apply_iid_flip(true, NoiseModel(epsilon), flips_rng)
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig) -> np.ndarray:
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config; message passing takes the block _BP_TRIAL_CHUNK trials at a time."""
+    config; message passing runs on graph, the cell's constraint graph."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
         return _majority_batch(obs, n, cell.include_direct)
     if decoder == "mle":
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
-    fg = graph_for(cell.graph, n)
-    cons_idx = consecutive_indices(n)
-    out = np.empty((obs.shape[0], n - 1), dtype=np.uint8)
-    for lo in range(0, obs.shape[0], _BP_TRIAL_CHUNK):
-        chunk = obs[lo : lo + _BP_TRIAL_CHUNK]
-        p0 = np.where(chunk == 0, 1.0 - epsilon, epsilon)
-        _, hard, _ = _bp_batch(fg, p0, chunk, cell.bp_iterations, cell.schedule)
-        out[lo : lo + _BP_TRIAL_CHUNK] = hard[:, cons_idx]
-    return out
+    p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
+    _, hard, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
+    return hard[:, consecutive_indices(n)]
 
 
 def run_cell(
@@ -235,17 +227,20 @@ def run_cell(
     decoder then sees the exact same logical words and flip patterns,
     which makes paired comparisons sharp. The settings are checked by the
     one-cell SimConfig they make up, so bad input raises ConfigError
-    before any trial runs.
+    before any trial runs, and a constraint graph past its size limit
+    raises CapacityError before anything is built.
     """
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     check_count("eps_index", eps_index, 0)
+    fg = graph_for(graph, n) if decoder == "bp" else None
+    block = _DRAW_BLOCK if fg is None else _bp_rows(fg)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
-    for lo in range(0, trials, _DRAW_BLOCK):
-        true, obs = _draw_words(cell, rngs, min(_DRAW_BLOCK, trials - lo))
+    for lo in range(0, trials, block):
+        true, obs = _draw_words(cell, rngs, min(block, trials - lo))
         true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell)
+        decoded = _decode_consecutive(obs, cell, fg)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials
@@ -273,8 +268,8 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     Cells are independent, so they may be farmed out to worker threads,
     at most one per cell and per CPU; results are collected back in the
     deterministic row order either way.
-    A decoder hitting its capacity limit yields a CellError instead of
-    aborting the sweep.
+    A cell refused on capacity grounds (search or graph size) yields a
+    CellError instead of aborting the sweep.
     """
     check_type("config", config, SimConfig)
     check_count("threads", threads, 1)

@@ -213,6 +213,22 @@ class TestSimulateCmd:
         assert csv_row(lines[1])["n"] == "4"
         assert "mle n=30" in err
 
+    def test_oversized_graph_exits_2_under_a_memory_cap(self):
+        # The n=1000 triangle graph has 166M checks. Under a 2 GB address-space
+        # cap, building them ended in a MemoryError traceback and exit 1.
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2_000_000 * 1024 if hard == resource.RLIM_INFINITY else min(2_000_000 * 1024, hard)
+        env = dict(os.environ, PYTHONPATH=str(Path(lhzcode.cli.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        argv = [sys.executable, "-m", "lhzcode.cli", "simulate", "--n", "1000", "--eps", "0.1",
+                "--decoder", "bp", "--trials", "1", "--seed", "1"]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: bp n=1000 eps=0.1: the triangle graph at n=1000 has")
+        assert b"Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -322,6 +338,12 @@ class TestTopLevel:
         assert header == b"n,epsilon,eps_star,chernoff,union_bound\n"
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_output_columns_pinned():
+    # SimResult's compared fields, in order; its compare=False extras stay out
+    assert OUTPUT_COLUMNS == ("decoder", "graph", "n", "epsilon", "iterations", "trials", "failures", "p_fail",
+                              "stderr", "chernoff", "union_bound", "seed")
 
 
 def test_defaults_agree():

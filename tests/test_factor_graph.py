@@ -1,11 +1,14 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lhzcode.factor_graph
+from lhzcode.codes import MAX_N
 from lhzcode.decoders import SCHEDULES, _bp_layout
 from lhzcode.sim import graph_for
 from reference import hamming_7_4, naive_belief_bp, naive_extrinsic_bp
@@ -201,6 +204,41 @@ class TestPlanar:
     def test_codewords_satisfy(self, bits):
         b = np.array(bits, dtype=np.uint8)
         assert not syndrome(planar_lhz_graph(b.size), encode(b)).any()
+
+
+@pytest.mark.parametrize("build", [triangle_graph, planar_lhz_graph])
+class TestEdgeLimit:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_limit_counts_the_edges_built(self, monkeypatch, build, n):
+        # the closed-form count the limit reads is the graph's own edge count
+        edges = sum(map(len, build(n).checks))
+        monkeypatch.setattr(lhzcode.factor_graph, "_MAX_EDGES", edges)
+        assert build(n).n_vars == num_pairs(n)
+        monkeypatch.setattr(lhzcode.factor_graph, "_MAX_EDGES", edges - 1)
+        with pytest.raises(CapacityError, match=f"graph at n={n} has {edges} edges"):
+            build(n)
+
+    def test_largest_graphs_pass(self, monkeypatch, build):
+        # triangle n = 300 (13.4M edges) and n = 323 are within the limit; the
+        # cached constructors are stubbed, so nothing this size gets built here
+        monkeypatch.setattr(lhzcode.factor_graph, "_triangle_graph", lambda n: n)
+        monkeypatch.setattr(lhzcode.factor_graph, "_planar_lhz_graph", lambda n: n)
+        largest = 323 if build is triangle_graph else 2898
+        assert build(300) == 300 and build(largest) == largest
+        with pytest.raises(CapacityError):
+            build(largest + 1)
+
+    @pytest.mark.parametrize("n", [3000, 10**6, MAX_N])
+    def test_refused_at_once(self, build, n):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"n={n} has"):
+            build(n)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [1000.0, True, "1000", None, 1, MAX_N + 1, 10**30])
+    def test_bad_n_is_still_a_config_error(self, build, n):
+        with pytest.raises(ConfigError):
+            build(n)
 
 
 class TestGf2:

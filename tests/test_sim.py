@@ -36,6 +36,7 @@ from lhzcode import (
     triangle_graph,
     union_bound,
 )
+from lhzcode.decoders import _bp_rows
 from lhzcode.sim import _DRAW_BLOCK, _draw_words, _streams, graph_for
 
 from reference import exact_majority_pair_fail
@@ -271,15 +272,27 @@ class TestDrawWords:
 
 
 class TestRunCell:
-    @pytest.mark.parametrize("decoder", sorted(lhzcode.sim.DECODER_IDS))
-    def test_draw_block_changes_nothing(self, monkeypatch, decoder):
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    @pytest.mark.parametrize("decoder,graph,schedule,n", [
+        ("majority", "triangle", "belief", 6),
+        ("mle", "triangle", "belief", 6),
+        ("bp", "triangle", "belief", 7),
+        ("bp", "planar", "extrinsic", 8),
+    ])
+    def test_block_rows_change_nothing(self, monkeypatch, decoder, graph, schedule, n, rows):
+        # one block loop serves every decoder; its size changes no result
         def cell():
-            r = run_cell(6, 0.2, decoder, 100, 4)
+            r = run_cell(n, 0.15, decoder, 100, 5, graph=graph, schedule=schedule)
             return r, r.pair_failures
 
         whole = cell()
-        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", 7)
+        drawn = []
+        draw = lhzcode.sim._draw_words
+        monkeypatch.setattr(lhzcode.sim, "_draw_words", lambda c, rngs, k: drawn.append(k) or draw(c, rngs, k))
+        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", rows)
+        monkeypatch.setattr(lhzcode.decoders, "_BP_TRIALS", rows)
         assert cell() == whole
+        assert drawn == [rows] * (100 // rows) + [100 % rows] * (100 % rows > 0)
 
     def test_memory_does_not_grow_with_trials(self):
         # a cell keeps one block of trials at a time, however many it runs
@@ -293,16 +306,27 @@ class TestRunCell:
 
         assert peak(16 * _DRAW_BLOCK) <= 1.5 * peak(_DRAW_BLOCK)
 
-    @pytest.mark.parametrize("graph,schedule,n", [("triangle", "belief", 7), ("planar", "extrinsic", 8)])
-    def test_bp_trial_chunk_changes_nothing(self, monkeypatch, graph, schedule, n):
-        def cell():
-            r = run_cell(n, 0.15, "bp", 100, 5, graph=graph, schedule=schedule)
-            return r, r.pair_failures
+    def test_bp_memory_does_not_grow_with_trials(self):
+        # past triangle n = 40 a message-passing batch holds fewer than 32
+        # trials, 10 at n = 60, and a cell keeps one batch at a time
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_cell(60, 0.1, "bp", trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        whole = cell()
-        for chunk in (7, 1024):
-            monkeypatch.setattr(lhzcode.sim, "_BP_TRIAL_CHUNK", chunk)
-            assert cell() == whole
+        run_cell(60, 0.1, "bp", 1, 1)  # the graph and its tables are cached before either peak
+        assert peak(64) <= 1.25 * peak(10)
+
+    def test_bp_rows(self, monkeypatch):
+        # every message-passing cell of the benchmark keeps 32-trial batches
+        for graph, n in [("triangle", 2), ("triangle", 10), ("triangle", 40), ("planar", 40)]:
+            assert _bp_rows(graph_for(graph, n)) == 32
+        assert _bp_rows(graph_for("triangle", 60)) == 8 * 2**20 // (8 * 58 * 1770) == 10
+        monkeypatch.setattr(lhzcode.decoders, "_BP_BLOCK_BYTES", 1)
+        assert _bp_rows(graph_for("triangle", 10)) == 1
 
     def test_deterministic(self):
         a = run_cell(6, 0.15, "bp", 300, 21)
@@ -350,26 +374,41 @@ class TestRunCell:
         seen = {}
         decode = lhzcode.sim._decode_consecutive
 
-        def recording(obs, cell):
-            seen[cell.decoders[0]] = obs.copy()
-            return decode(obs, cell)
+        def recording(obs, *rest):
+            seen.setdefault(rest[0].decoders[0], []).append(obs.copy())
+            return decode(obs, *rest)
+
+        def words(decoder):  # every block the decoder saw, in trial order
+            return np.concatenate(seen.pop(decoder))
 
         monkeypatch.setattr(lhzcode.sim, "_decode_consecutive", recording)
         mle = run_cell(6, 0.2, "mle", 800, 3, shared_noise=True)
         maj = run_cell(6, 0.2, "majority", 800, 3, shared_noise=True)
         bp = run_cell(6, 0.2, "bp", 800, 3, shared_noise=True)
-        assert (seen["majority"] == seen["mle"]).all() and (seen["bp"] == seen["mle"]).all()
+        shared = words("mle")
+        assert shared.shape == (800, 15)
+        assert (words("majority") == shared).all() and (words("bp") == shared).all()
         assert mle.failures <= maj.failures
         assert mle.failures <= bp.failures
         # without shared noise each decoder has its own words
         run_cell(6, 0.2, "majority", 800, 3)
-        assert not (seen["majority"] == seen["mle"]).all()
+        assert not (words("majority") == shared).all()
 
     def test_mle_capacity(self):
         from lhzcode import CapacityError
 
         with pytest.raises(CapacityError, match="n=30"):
             run_cell(30, 0.1, "mle", 5, 1)
+
+    def test_bp_graph_capacity(self, monkeypatch):
+        from lhzcode import CapacityError
+
+        # refused before a single trial is drawn
+        monkeypatch.setattr(lhzcode.sim, "_draw_words", None)
+        with pytest.raises(CapacityError, match="triangle graph at n=1000 has 498501000 edges"):
+            run_cell(1000, 0.1, "bp", 1, 1)
+        with pytest.raises(CapacityError, match="planar graph at n=2899"):
+            run_cell(2899, 0.1, "bp", 1, 1, graph="planar")
 
     def test_graph_for_n2(self):
         fg = graph_for("triangle", 2)
@@ -439,6 +478,10 @@ class TestRunSweep:
         assert isinstance(err, CellError)
         assert (err.decoder, err.n, err.epsilon) == ("mle", 30, 0.1)
         assert "n=30" in err.message
+        # an oversized constraint graph is one more refused cell
+        sweep = run_sweep(SimConfig((4, 1000), (0.1,), ("bp",), trials=20, seed=1))
+        assert [r.n for r in sweep.rows] == [4]
+        assert [(e.decoder, e.n) for e in sweep.errors] == [("bp", 1000)]
 
     def test_cells_keyed_by_slot_not_sweep_shape(self):
         # streams are keyed on (seed, decoder, n, eps slot): adding
