@@ -50,7 +50,7 @@ SCHEDULES = ("belief", "extrinsic")
 
 # 2^(n-1) candidates get enumerated; past this the search is hopeless anyway.
 MLE_MAX_LOGICAL = 24
-_MLE_BLOCK_BYTES = 4 << 20  # per float32 candidate or score block: candidates * max(k, trials) * 4
+_MLE_BLOCK_BYTES = 4 << 20  # per float32 score block: trials * candidates * 4
 _BP_TRIALS = 32  # per message-passing batch, fewer past triangle n = 40 (_bp_rows)
 _BP_BLOCK_BYTES = 8 << 20  # per float64 per-edge array of a batch: max_degree * n_vars * trials * 8
 
@@ -197,12 +197,12 @@ def _bp_batch(
     observed: np.ndarray,
     iterations: int,
     schedule: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run message passing on a (trials, n_vars) batch.
 
-    Returns (final p0, hard words, converged flags) after the requested
-    rounds, at least one; the flag records whether the last round still
-    changed a hard decision. Every message is one log-likelihood ratio
+    Returns (final p0, hard words, converged flags, rounds run) after the
+    requested rounds, at least one; the flag records whether the last round
+    still changed a hard decision. Every message is one log-likelihood ratio
     log(p0/p1) per edge: a check sends log1p(d) - log1p(-d) for the product
     d of its other neighbours' biases, read through the partner tables (the
     tanh rule), and a variable sums its prior LLR with its incoming ones, so
@@ -212,7 +212,8 @@ def _bp_batch(
     schedule), or the beliefs and the per-edge biases (extrinsic). Once the
     whole batch's state repeats bit for bit, every later round would return
     the same bytes, so the loop stops there; the outputs equal those of a
-    run through every round, with every converged flag set.
+    run through every round, with every converged flag set; only the rounds
+    run, the fourth output, fall short of the requested count.
 
     Trials run innermost and the per-edge arrays are degree-slot-major, the
     layout np.take gives a gather of the partner tables along axis 0:
@@ -248,7 +249,7 @@ def _bp_batch(
         new = src.copy()
         src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
         bias = new[:-2].reshape(d_max, nv, t)
-    for _ in range(iterations):
+    for rounds in range(1, iterations + 1):
         if not extrinsic:
             src[:-2] = 2.0 * cur - 1.0
         np.take(src, partners[0], axis=0, out=g, mode="clip")
@@ -305,7 +306,7 @@ def _bp_batch(
             break
     # After the swap, nxt holds the beliefs of the round before the last.
     hard = _hard(cur.T, observed)
-    return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1)
+    return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1), rounds
 
 
 def bp_decode(
@@ -348,7 +349,7 @@ def bp_decode(
         obs = as_bits(observed)[None, :]
         if obs.size != graph.n_vars:
             raise DimensionError(f"observed word length {obs.size} does not match {graph.n_vars}")
-    p0f, hard, conv = _bp_batch(graph, p0, obs, iterations, schedule)
+    p0f, hard, conv, _ = _bp_batch(graph, p0, obs, iterations, schedule)
     word = hard[0]
     try:
         cons = word[consecutive_indices(num_logical(graph.n_vars))]
@@ -378,30 +379,73 @@ def _counter_bits(counters: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
+def _spins(bits: np.ndarray) -> np.ndarray:
+    """Spins s = 1 - 2b of 0/1 bits, as float32."""
+    return 1 - 2 * bits.astype(np.float32)
+
+
 def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
     """Nearest-codeword logical words for a (trials, k) batch.
 
-    Spins s = 1 - 2b score sum_ij s_i s_j (1 - 2 g_ij) = k - 2 distance: one float32
-    product per candidate block, exact as its integers stay below 2^24. Ties go to the
-    lexicographically smallest: argmax keeps a block's first maximum, and across blocks
-    only a strictly higher score displaces the holder. Past n = MLE_MAX_LOGICAL it refuses.
+    Spins s = 1 - 2b score sum_(i<j) s_i s_j w_ij = k - 2 distance, w = 1 - 2g. The
+    n spins split into a high part of m = ceil(n/2), which holds s_1 = +1 and the
+    candidate counter's top m-1 bits (row a), and a low part of n-m, its bottom bits
+    (column l), so counter a 2^(n-m) + l is (a, l) in row-major order. Per trial,
+        score[a, l] = Q_H[a] + Q_L[l] + sum_(i high, j low) s_i[a] w_ij s_j[l],
+    with Q_H, Q_L the pairs inside each part: each part's products are 2^(n/2)-row
+    tables, the cross term is one float32 product of inner dimension n-m+1 (Q_H rides
+    along as a column against a ones column), and Q_L is added by broadcasting. Every
+    partial sum is an integer of magnitude at most k < 2^24, so float32 is exact in any
+    summation order. Ties go to the lexicographically smallest: argmax keeps the first
+    maximum of a block's (a, l) rows, and across blocks only a strictly higher score
+    displaces the holder. Trial blocks run outside, row blocks inside, each score block
+    within _MLE_BLOCK_BYTES (one trial and one row at least). Past n = MLE_MAX_LOGICAL
+    it refuses.
     """
     if n > MLE_MAX_LOGICAL:
         raise CapacityError(
             f"mle at n={n}: exhaustive search over 2^{n - 1} candidates exceeds the n={MLE_MAX_LOGICAL} limit"
         )
-    (t, k), total = words.shape, 1 << (n - 1)
-    chunk = max(64, min(total, _MLE_BLOCK_BYTES // (4 * max(k, t))))
+    t, k = words.shape
+    m = (n + 1) // 2
+    rows, cols = 1 << (m - 1), 1 << (n - m)
+    # Spin tables: high rows a (s_1 = +1), low columns l with a ones column appended.
+    s_hi = _spins(_counter_bits(np.arange(rows, dtype=np.int64), m))
+    s_lo = np.ones((cols, n - m + 1), dtype=np.float32)
+    s_lo[:, :-1] = _spins(_counter_bits(np.arange(cols, dtype=np.int64), n - m + 1)[:, 1:])
+    hi_pairs, lo_pairs = _triu(m), _triu(n - m)
+    p_hi = s_hi[:, hi_pairs[0]] * s_hi[:, hi_pairs[1]]
+    p_lo = s_lo[:, lo_pairs[0]] * s_lo[:, lo_pairs[1]]
+    # Pair index sets of the word, each in the row-major order of its part.
     iu, ju = _triu(n)
-    w = 1 - 2 * words.astype(np.float32)
-    best_score, best_c = np.full(t, -k - 1, dtype=np.float32), np.zeros(t, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        s = 1 - 2 * _counter_bits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), n).astype(np.float32)
-        score = w @ (s[:, iu] * s[:, ju]).T
-        arg = score.argmax(axis=1)
-        top = score[np.arange(t), arg]
-        best_c = np.where(top > best_score, arg + lo, best_c)
-        np.maximum(best_score, top, out=best_score)
+    hi_idx, lo_idx = np.flatnonzero(ju < m), np.flatnonzero(iu >= m)
+    cross_idx = np.flatnonzero((iu < m) & (ju >= m))  # row i holds (i, m..n-1) in order
+    budget = _MLE_BLOCK_BYTES // 4
+    t_rows = max(1, min(t, budget // (rows * cols)))
+    a_rows = max(1, min(rows, budget // cols))
+    buf = np.empty(t_rows * a_rows * cols, dtype=np.float32)
+    best_c = np.zeros(t, dtype=np.int64)
+    for t0 in range(0, t, t_rows):
+        tb = min(t_rows, t - t0)
+        w = _spins(words[t0 : t0 + tb])
+        # x[r, a] = (s_hi[a] @ W_HL of trial r, Q_H[a] of trial r): one product for the block.
+        w_hl = w[:, cross_idx].reshape(tb, m, n - m).transpose(1, 0, 2).reshape(m, tb * (n - m))
+        x = np.empty((tb, rows, n - m + 1), dtype=np.float32)
+        x[:, :, :-1] = (s_hi @ w_hl).reshape(rows, tb, n - m).transpose(1, 0, 2)
+        x[:, :, -1] = w[:, hi_idx] @ p_hi.T
+        q_lo = (w[:, lo_idx] @ p_lo.T)[:, None, :]
+        best, best_score = best_c[t0 : t0 + tb], np.full(tb, -k - 1, dtype=np.float32)
+        for a0 in range(0, rows, a_rows):
+            ab = min(a_rows, rows - a0)
+            score = buf[: tb * ab * cols].reshape(tb * ab, cols)
+            np.matmul(x[:, a0 : a0 + ab].reshape(tb * ab, -1), s_lo.T, out=score)
+            score = score.reshape(tb, ab, cols)
+            score += q_lo
+            score = score.reshape(tb, ab * cols)
+            arg = score.argmax(axis=1)
+            top = score[np.arange(tb), arg]
+            np.copyto(best, arg + a0 * cols, where=top > best_score)
+            np.maximum(best_score, top, out=best_score)
     return _counter_bits(best_c, n)
 
 

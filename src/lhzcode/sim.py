@@ -200,7 +200,7 @@ def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | N
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
     p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
-    _, hard, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
+    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
     return hard[:, consecutive_indices(n)]
 
 

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -358,8 +359,30 @@ class TestBpFixedPointExit:
         graph = triangle_graph(14)
         observed, priors = _exit_batch(graph, 0.05)
         for kind, p0 in priors.items():
-            rounds, (_, _, conv) = self._rounds_run(monkeypatch, graph, p0, observed, 40, schedule)
+            rounds, (_, _, conv, _) = self._rounds_run(monkeypatch, graph, p0, observed, 40, schedule)
             assert rounds < 40 and conv.all(), kind
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "graph,eps,kind,settles",
+        [(planar_lhz_graph(20), 0.1, "uniform", False), (triangle_graph(14), 0.05, "channel", True),
+         (triangle_graph(14), 0.05, "hard", True)],
+        ids=["planar20-uniform", "tri14-channel", "tri14-hard"],
+    )
+    def test_returns_rounds_run(self, monkeypatch, graph, eps, kind, settles, schedule):
+        # Uniform priors on the planar graph do not settle in 40 rounds; the
+        # triangle batches reach a fixed point within a few.
+        observed, priors = _exit_batch(graph, eps)
+        spied, out = self._rounds_run(monkeypatch, graph, priors[kind], observed, 40, schedule)
+        assert out[3] == spied
+        if not settles:
+            assert out[3] == 40
+            return
+        assert out[3] < 40 and out[2].all()
+        again = _bp_batch(graph, priors[kind], observed, out[3], schedule)
+        assert again[3] == out[3]
+        for a, b in zip(again[:3], out[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_outcome_reports_requested_rounds(self, monkeypatch):
         g = encode([0, 1, 1, 0, 1, 0])
@@ -536,7 +559,7 @@ class TestBpProperties:
         words = rng.integers(0, 2, size=(20, n * (n - 1) // 2), dtype=np.uint8)
         p0 = np.where(words == 0, 1 - model.epsilon, model.epsilon)
         for schedule in ("belief", "extrinsic"):
-            beliefs, hard, conv = _bp_batch(fg, p0, words, 4, schedule)
+            beliefs, hard, conv, _ = _bp_batch(fg, p0, words, 4, schedule)
             for t in range(words.shape[0]):
                 out = bp_decode(fg, channel_prior(words[t], model), iterations=4,
                                 schedule=schedule, observed=words[t])
@@ -560,7 +583,7 @@ class TestBpProperties:
             batch = _bp_batch(graph, p0, words, iterations, schedule)
             for i in range(words.shape[0]):
                 alone = _bp_batch(graph, p0[i : i + 1], words[i : i + 1], iterations, schedule)
-                for a, b in zip(alone, batch):
+                for a, b in zip(alone[:3], batch[:3]):
                     assert (a[0] == b[i]).all(), (kind, iterations, i)
 
 
@@ -612,7 +635,7 @@ def test_bp_beliefs_frozen(case):
     words = _noisy_words(num_logical(graph.n_vars), 0.25, 33, seed=808)
     p0 = np.where(words == 0, 0.75, 0.25)
     # Two rounds leave the triangle beliefs short of the clamp, where the sum order shows.
-    beliefs, _, _ = _bp_batch(graph, p0, words, 2, SCHEDULES[case % 2])
+    beliefs, _, _, _ = _bp_batch(graph, p0, words, 2, SCHEDULES[case % 2])
     assert hashlib.sha256(beliefs.tobytes()).hexdigest() == frozen[case]
 
 
@@ -769,28 +792,77 @@ class TestMleAgainstDistance:
         assert len(words) >= 20 and ties.max() >= 3
         assert np.array_equal(_mle_batch(words, n), mle_batch_distance(words, n))
 
-    @pytest.mark.parametrize("n,block", [(8, 64), (8, 100), (11, 64), (11, 100), (11, 1000), (12, 1000)])
-    def test_blocks_smaller_than_the_search(self, monkeypatch, n, block):
+    # (n, score budget in bytes, trials and high rows per block); the id names
+    # the budget in float32 scores. n = 8 has 8 high rows of 16 candidates, n = 11
+    # 32 of 32, n = 12 32 of 64. A budget of one byte gives the floor of one
+    # trial and one high row.
+    @pytest.mark.parametrize(
+        "n,budget,t_rows,a_rows",
+        [pytest.param(n, 4 * block, t_rows, a_rows, id=f"{n}-{block}") for n, block, t_rows, a_rows in
+         [(8, 64, 1, 4), (8, 100, 1, 6), (8, 1000, 7, 8), (11, 64, 1, 2), (11, 100, 1, 3), (11, 1000, 1, 31),
+          (11, 5000, 4, 32), (12, 1000, 1, 15)]]
+        + [pytest.param(n, 1, 1, 1, id=f"{n}-floor") for n in (8, 11, 12)],
+    )
+    def test_blocks_smaller_than_the_search(self, monkeypatch, n, budget, t_rows, a_rows):
         words = np.concatenate([_noisy_words(n, 0.3, 30, seed=5), _tied_words(n)[0], _constant_words(n)])
         want = mle_batch_distance(words, n)
-        sizes, counter_bits = [], lhzcode.decoders._counter_bits
+        rows, cols = 1 << ((n + 1) // 2 - 1), 1 << (n // 2)
+        blocks = []
 
-        def recording(counters, n):
-            sizes.append(counters.size)
-            return counter_bits(counters, n)
+        class Spy:
+            """numpy, with the shape of each score block (out= of np.matmul) recorded."""
 
-        monkeypatch.setattr(lhzcode.decoders, "_counter_bits", recording)
-        # a budget of one byte gives the 64-candidate floor
-        budget = 1 if block == 64 else 4 * max(words.shape) * block
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                blocks.append(kwargs["out"].shape)
+                return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(lhzcode.decoders, "np", Spy())
         monkeypatch.setattr(lhzcode.decoders, "_MLE_BLOCK_BYTES", budget)
         assert np.array_equal(_mle_batch(words, n), want)
-        blocks = sizes[:-1]  # the last call reads out the winners
-        assert len(blocks) > 1 and blocks[0] == block and sum(blocks) == 1 << (n - 1)
+        # trial blocks outside, high-row blocks inside, every candidate of every trial once
+        t = len(words)
+        expected = [(min(t_rows, t - t0) * min(a_rows, rows - a0), cols)
+                    for t0 in range(0, t, t_rows) for a0 in range(0, rows, a_rows)]
+        assert len(blocks) > 1 and blocks == expected
+        assert sum(r * c for r, c in blocks) == t << (n - 1)
+        assert all(4 * r * c <= max(budget, 4 * cols) for r, c in blocks)
 
     @pytest.mark.parametrize("trials", [1, 1000])
     def test_batch_sizes(self, trials):
         words = _noisy_words(12, 0.2, trials, seed=9)
         assert np.array_equal(_mle_batch(words, 12), mle_batch_distance(words, 12))
+
+
+@pytest.mark.parametrize("trials", [1, 7, 300])
+@pytest.mark.parametrize("kind", ["tied", "constant", "noisy"])
+@pytest.mark.parametrize("n", range(2, 14))
+def test_split_search_at_every_size(n, kind, trials):
+    # n = 2 and 3 leave one part of the split a single spin. At n = 2 every
+    # word is a codeword, so no word ties: its "tied" pool is both words.
+    if kind == "noisy":
+        words = _noisy_words(n, 0.3, trials, seed=n)
+    else:
+        pool = _constant_words(n) if kind == "constant" or n == 2 else _tied_words(n)[0]
+        words = np.resize(pool, (trials, pool.shape[1]))
+    assert np.array_equal(_mle_batch(words, n), mle_batch_distance(words, n))
+
+
+def test_search_memory_stays_within_its_blocks():
+    # Every score block is held to _MLE_BLOCK_BYTES. A kernel that built the
+    # cross terms of the whole batch at once, (1024, 256, 9) float32 or 9.4 MB,
+    # next to one score block, would pass the bound.
+    n = 18
+    words = _noisy_words(n, 0.1, 1024, seed=4)
+    tracemalloc.start()
+    try:
+        _mle_batch(words, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * lhzcode.decoders._MLE_BLOCK_BYTES
 
 
 def test_blas_threads_do_not_change_the_words(tmp_path):
