@@ -1,10 +1,11 @@
 """Pairwise-parity spin encoding treated as a classical LDPC code.
 
 n logical bits map to k = n(n-1)/2 physical parity bits g_ij = b_i xor b_j.
-The package provides the encoding and its index algebra (codes), constraint
-graphs and GF(2) helpers (factor_graph), the i.i.d. flip channel (channel),
-majority / message-passing / exhaustive decoders (decoders), a seeded Monte
-Carlo harness with analytic bounds (sim), and a CLI (cli).
+The package provides the encoding and its index algebra (codes), the
+triangle and planar constraint graphs (factor_graph), the i.i.d. flip
+channel (channel), majority / message-passing / exhaustive decoders
+(decoders), a seeded Monte Carlo harness with analytic bounds (sim), and a
+CLI (cli).
 """
 
 from .channel import NoiseModel, apply_iid_flip, channel_prior, stream
@@ -34,14 +35,7 @@ from .errors import (
     InvalidPairError,
     LhzError,
 )
-from .factor_graph import (
-    FactorGraph,
-    enumerate_codewords,
-    gf2_rank,
-    planar_lhz_graph,
-    syndrome,
-    triangle_graph,
-)
+from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 from .sim import (
     CellError,
     SimConfig,

@@ -55,6 +55,11 @@ def pair_index(i: int, j: int, n: int) -> int:
         check_count(name, v)
     if not 1 <= i < j <= n:
         raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    return _pair_ids(i, j, n)
+
+
+def _pair_ids(i, j, n):
+    """pair_index without its checks, for ints or integer arrays alike."""
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
@@ -115,7 +120,7 @@ def consecutive_indices(n: int) -> np.ndarray:
     """Linear indices of the consecutive pairs (1,2), (2,3), ..., (n-1,n)."""
     check_count("n", n, 2, MAX_N)
     i = np.arange(1, n, dtype=np.intp)
-    return (i - 1) * (2 * n - i) // 2
+    return _pair_ids(i, i + 1, n)
 
 
 def logical_from_consecutive(c) -> np.ndarray:

@@ -24,13 +24,13 @@ import numpy as np
 
 from .channel import NoiseModel
 from .codes import (
+    _pair_ids,
     _triu,
     as_bits,
     consecutive_indices,
     encode,
     logical_from_consecutive,
     num_logical,
-    pair_index,
 )
 from .errors import CapacityError, ConfigError, DimensionError, InconsistentEvidenceError
 from .errors import check_choice, check_count, check_epsilon, check_type
@@ -89,13 +89,12 @@ def epsilon_star(epsilon: float) -> float:
 def _vote_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (A, B), shape (n-1, n-2): vote k for target (i, i+1) is
     word[A] xor word[B] with A = index(i,k), B = index(i+1,k)."""
-    a = np.empty((n - 1, n - 2), dtype=np.intp)
-    b = np.empty((n - 1, n - 2), dtype=np.intp)
-    for row, i in enumerate(range(1, n)):
-        j = i + 1
-        for col, k in enumerate(x for x in range(1, n + 1) if x not in (i, j)):
-            a[row, col] = pair_index(min(i, k), max(i, k), n)
-            b[row, col] = pair_index(min(j, k), max(j, k), n)
+    i = np.arange(1, n, dtype=np.intp)[:, None]
+    k = np.arange(1, n - 1, dtype=np.intp)
+    k = k + 2 * (k >= i)  # the n-2 k outside (i, i+1), ascending
+    below = k < i
+    a = np.where(below, _pair_ids(k, i, n), _pair_ids(i, k, n))
+    b = np.where(below, _pair_ids(k, i + 1, n), _pair_ids(i + 1, k, n))
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b

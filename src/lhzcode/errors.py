@@ -25,7 +25,7 @@ class DimensionError(LhzError, ValueError):
 
 
 class CapacityError(LhzError, RuntimeError):
-    """Refused work past a size limit: an exhaustive search or enumeration, or a constraint graph."""
+    """Refused work past a size limit: an exhaustive search or a constraint graph."""
 
 
 class InconsistentEvidenceError(LhzError, RuntimeError):

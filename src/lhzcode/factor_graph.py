@@ -1,9 +1,10 @@
-"""Parity-check matrices held as sparse factor graphs, plus GF(2) helpers.
+"""Parity-check matrices held as sparse factor graphs.
 
 A FactorGraph is the bipartite view of a binary parity-check matrix: one
 tuple of variable indices per even-parity constraint. Constructors cover
 the two constraint systems of the pairwise-parity code: the full triangle
-set and the planar subset.
+set and the planar subset. Both compute their checks' pair indices as
+arrays and turn the rows into tuples once.
 """
 
 from __future__ import annotations
@@ -11,21 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from .codes import MAX_N, as_bits, num_pairs, pair_index
-from .errors import CapacityError, ConfigError, DimensionError, check_count, check_type
+from .codes import MAX_N, _pair_ids, num_pairs
+from .errors import CapacityError, ConfigError, check_count, check_type
 
-__all__ = [
-    "FactorGraph",
-    "triangle_graph",
-    "planar_lhz_graph",
-    "syndrome",
-    "gf2_rank",
-    "enumerate_codewords",
-]
+__all__ = ["FactorGraph", "triangle_graph", "planar_lhz_graph"]
 
 # (check, variable) edges the graph constructors refuse to pass, past triangle n = 323 and planar n = 2898:
 # each costs ~40 bytes of tuples, and message passing float64 arrays of one entry per trial.
@@ -81,11 +75,14 @@ def _check_edges(kind: str, n: int, edges: int) -> None:
 
 @lru_cache(maxsize=None)
 def _triangle_graph(n: int) -> FactorGraph:
-    checks = tuple(
-        (pair_index(i, j, n), pair_index(i, k, n), pair_index(j, k, n))
-        for i, j, k in combinations(range(1, n + 1), 3)
-    )
-    return FactorGraph(num_pairs(n), checks)
+    ijk = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), 3)), np.intp, 3 * math.comb(n, 3))
+    i, j, k = ijk.reshape(-1, 3).T
+    checks = np.stack([_pair_ids(i, j, n), _pair_ids(i, k, n), _pair_ids(j, k, n)], axis=1)
+    return FactorGraph(num_pairs(n), _tuples(checks))
+
+
+def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows.tolist()))
 
 
 def planar_lhz_graph(n: int) -> FactorGraph:
@@ -104,96 +101,10 @@ def planar_lhz_graph(n: int) -> FactorGraph:
 
 @lru_cache(maxsize=None)
 def _planar_lhz_graph(n: int) -> FactorGraph:
-    checks: list[tuple[int, ...]] = []
-    for i in range(1, n - 1):
-        checks.append((pair_index(i, i + 1, n), pair_index(i, i + 2, n), pair_index(i + 1, i + 2, n)))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            checks.append(
-                (
-                    pair_index(i, j, n),
-                    pair_index(i, j + 1, n),
-                    pair_index(i + 1, j, n),
-                    pair_index(i + 1, j + 1, n),
-                )
-            )
-    return FactorGraph(num_pairs(n), tuple(checks))
-
-
-def syndrome(graph: FactorGraph, word) -> np.ndarray:
-    """Parity of each check on the given word; all zeros iff a codeword."""
-    check_type("graph", graph, FactorGraph)
-    w = as_bits(word)
-    if w.size != graph.n_vars:
-        raise DimensionError(f"word length {w.size} does not match {graph.n_vars} variables")
-    s = np.zeros(graph.n_checks, dtype=np.uint8)
-    for ci, c in enumerate(graph.checks):
-        if c:
-            s[ci] = np.bitwise_xor.reduce(w[list(c)])
-    return s
-
-
-def _packed_rows(graph: FactorGraph) -> list[int]:
-    rows = []
-    for c in graph.checks:
-        row = 0
-        for v in c:
-            row ^= 1 << v
-        rows.append(row)
-    return rows
-
-
-def gf2_rank(graph: FactorGraph) -> int:
-    """Rank of the check matrix over GF(2), by elimination on bit-packed rows."""
-    check_type("graph", graph, FactorGraph)
-    pivots: dict[int, int] = {}
-    for row in _packed_rows(graph):
-        while row:
-            b = row.bit_length() - 1
-            if b in pivots:
-                row ^= pivots[b]
-            else:
-                pivots[b] = row
-                break
-    return len(pivots)
-
-
-def enumerate_codewords(graph: FactorGraph, max_vars: int = 24) -> set[tuple[int, ...]]:
-    """Every word with all-zero syndrome, as a set of 0/1 tuples.
-
-    Builds a nullspace basis by Gauss-Jordan elimination, then expands all
-    2^(n_vars - rank) combinations. Refuses graphs wider than max_vars.
-    """
-    check_type("graph", graph, FactorGraph)
-    check_count("max_vars", max_vars, 0)
-    n = graph.n_vars
-    if n > max_vars:
-        raise CapacityError(f"enumeration over {n} variables exceeds the {max_vars}-variable limit")
-    # Reduced echelon form with the lowest set bit of each row as pivot.
-    pivot_rows: dict[int, int] = {}
-    for row in _packed_rows(graph):
-        for col, prow in pivot_rows.items():
-            if row >> col & 1:
-                row ^= prow
-        if row:
-            col = (row & -row).bit_length() - 1
-            for pc in list(pivot_rows):
-                if pivot_rows[pc] >> col & 1:
-                    pivot_rows[pc] ^= row
-            pivot_rows[col] = row
-    free_cols = [c for c in range(n) if c not in pivot_rows]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for col, prow in pivot_rows.items():
-            if prow >> f & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    words = set()
-    for m in range(1 << len(basis)):
-        w = 0
-        for t, bv in enumerate(basis):
-            if m >> t & 1:
-                w ^= bv
-        words.add(tuple(w >> v & 1 for v in range(n)))
-    return words
+    i = np.arange(1, n - 1, dtype=np.intp)
+    boundary = np.stack([_pair_ids(i, i + 1, n), _pair_ids(i, i + 2, n), _pair_ids(i + 1, i + 2, n)], axis=1)
+    i, j = (x + 1 for x in np.triu_indices(n - 1, 2))  # 1 <= i, i+2 <= j <= n-1, row-major
+    plaquettes = np.stack(
+        [_pair_ids(i, j, n), _pair_ids(i, j + 1, n), _pair_ids(i + 1, j, n), _pair_ids(i + 1, j + 1, n)], axis=1
+    )
+    return FactorGraph(num_pairs(n), _tuples(boundary) + _tuples(plaquettes))

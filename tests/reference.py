@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: exhaustive enumeration and dict-based
 message passing, no shared code with the package internals beyond the public
-FactorGraph/syndrome/encode surface. The exceptions are the bit-exact oracles
-of two vectorised kernels: the Hamming-distance nearest-codeword search, which
-reads the candidates in the package's counter order, and the slot-major LLR
-engine at the end. The first three helpers are test-only: the [7,4] Hamming
-graph, the one fixture that is not a pairwise-parity layout, and the
-gauge-fixed readout and consecutive-pair slice of a physical word.
+FactorGraph/encode surface. The exceptions are the bit-exact oracles of two
+vectorised kernels: the Hamming-distance nearest-codeword search, which reads
+the candidates in the package's counter order, and the slot-major LLR engine
+at the end. The first helpers are test-only: the [7,4] Hamming graph, the one
+fixture that is not a pairwise-parity layout, the syndrome, rank and codeword
+set of a graph's check matrix over GF(2), and the gauge-fixed readout and
+consecutive-pair slice of a physical word.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from lhzcode import (
     encode,
     num_logical,
     pair_index,
-    syndrome,
 )
 from lhzcode.decoders import MLE_MAX_LOGICAL, _counter_bits
 
@@ -33,6 +33,48 @@ from lhzcode.decoders import MLE_MAX_LOGICAL, _counter_bits
 def hamming_7_4():
     """The [7,4] single-error-correcting code: rows 1110100, 0111010, 0011101."""
     return FactorGraph(7, ((0, 1, 2, 4), (1, 2, 3, 5), (2, 3, 4, 6)))
+
+
+def syndrome(graph, word):
+    """Parity of each check on the word; all zeros iff a codeword."""
+    return np.array([sum(int(word[v]) for v in c) % 2 for c in graph.checks], dtype=np.uint8)
+
+
+def _reduced_echelon(graph):
+    """The check matrix over GF(2) in reduced echelon form, rows packed into
+    ints: {pivot column: row}, each pivot column clear in every other row."""
+    rows = {}
+    for c in graph.checks:
+        row = sum(1 << v for v in c)
+        for col, prow in rows.items():
+            if row >> col & 1:
+                row ^= prow
+        if row:
+            col = (row & -row).bit_length() - 1
+            for pc, prow in rows.items():
+                if prow >> col & 1:
+                    rows[pc] = prow ^ row
+            rows[col] = row
+    return rows
+
+
+def gf2_rank(graph):
+    return len(_reduced_echelon(graph))
+
+
+def enumerate_codewords(graph):
+    """Every word with all-zero syndrome, as a set of 0/1 tuples: each free
+    column set alone fixes the pivot columns of the rows it appears in."""
+    rows = _reduced_echelon(graph)
+    basis = [(1 << f) | sum(1 << col for col, row in rows.items() if row >> f & 1)
+             for f in range(graph.n_vars) if f not in rows]
+    words = set()
+    for combo in itertools.product((0, 1), repeat=len(basis)):
+        w = 0
+        for vec in itertools.compress(basis, combo):
+            w ^= vec
+        words.add(tuple(w >> v & 1 for v in range(graph.n_vars)))
+    return words
 
 
 def logical_readout(g):

@@ -21,8 +21,6 @@ from lhzcode import (
     channel_prior,
     chernoff_bound,
     encode,
-    enumerate_codewords,
-    gf2_rank,
     num_pairs,
     planar_lhz_graph,
     run_cell,
@@ -32,7 +30,7 @@ from lhzcode import (
 )
 from lhzcode.cli import main as cli_main
 
-from reference import exact_marginals
+from reference import enumerate_codewords, exact_marginals, gf2_rank
 
 SEED = 20250819
 

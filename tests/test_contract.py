@@ -53,10 +53,7 @@ VALID = {
     "majority_vote_decode": dict(g_obs=WORD),
     "mle_decode": dict(g_obs=WORD, model=NoiseModel(0.1)),
     "FactorGraph": dict(n_vars=3, checks=((0, 1, 2),)),
-    "enumerate_codewords": dict(graph=triangle_graph(3)),
-    "gf2_rank": dict(graph=triangle_graph(3)),
     "planar_lhz_graph": dict(n=3),
-    "syndrome": dict(graph=triangle_graph(3), word=WORD),
     "triangle_graph": dict(n=3),
     "CellError": dict(decoder="bp", n=3, epsilon=0.1, message="m"),
     "SimConfig": dict(n_values=(3,), eps_values=(0.1,)),

@@ -23,14 +23,12 @@ from lhzcode import (
     channel_prior,
     consecutive_indices,
     encode,
-    enumerate_codewords,
     epsilon_star,
     majority_vote_decode,
     mle_decode,
     num_logical,
     pair_index,
     stream,
-    syndrome,
     triangle_graph,
     planar_lhz_graph,
 )
@@ -39,6 +37,7 @@ from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch
 
 from reference import (
     consecutive_bits,
+    enumerate_codewords,
     exact_marginals,
     hamming_7_4,
     logical_readout,
@@ -47,6 +46,7 @@ from reference import (
     naive_extrinsic_bp,
     nearest_codeword_bruteforce,
     slot_major_bp_batch,
+    syndrome,
     vote_majority,
 )
 

@@ -32,14 +32,13 @@ from lhzcode import (
     run_cell,
     run_sweep,
     stream,
-    syndrome,
     triangle_graph,
     union_bound,
 )
 from lhzcode.decoders import _bp_rows
 from lhzcode.sim import _DRAW_BLOCK, _draw_words, _streams, graph_for
 
-from reference import exact_majority_pair_fail
+from reference import exact_majority_pair_fail, syndrome
 
 
 class TestBounds:
@@ -150,7 +149,7 @@ class TestSimConfig:
             _bad_cell("epsilon-string", epsilon="0.1"),
             # ragged bits are refused by the one bit coercion every entry point uses
             pytest.param(lambda: encode([[0, 1], [1]]), id="encode-ragged"),
-            pytest.param(lambda: syndrome(triangle_graph(3), [[0, 1], [1]]), id="syndrome-ragged"),
+            pytest.param(lambda: majority_vote_decode([[0, 1], [1]]), id="majority-ragged"),
             pytest.param(lambda: mle_decode([[0, 1], [1]], NoiseModel(0.1)), id="mle-ragged"),
             # an n whose k = n(n-1)/2 overflows an index is refused at once
             {"n_values": (10**30,)},
@@ -263,8 +262,6 @@ class TestDrawWords:
         assert obs.any()
 
     def test_words_are_codewords(self):
-        from lhzcode import syndrome, triangle_graph
-
         true, _ = _draw(_cell(trials=20), 0)
         fg = triangle_graph(5)
         for t in range(20):
