@@ -53,6 +53,7 @@ MLE_MAX_LOGICAL = 24
 _MLE_BLOCK_BYTES = 4 << 20  # per float32 score block: trials * candidates * 4
 _BP_TRIALS = 32  # per message-passing batch, fewer past triangle n = 40 (_bp_rows)
 _BP_BLOCK_BYTES = 8 << 20  # per float64 per-edge array of a batch: max_degree * n_vars * trials * 8
+_BP_SLOT_BYTES = 256 << 10  # per block of degree slots a round works on: slots * n_vars * trials * 8
 
 
 @dataclass
@@ -178,8 +179,12 @@ def _bp_rows(graph: FactorGraph) -> int:
 
 
 def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Hard decisions from p0; exact ties keep the observed bit."""
-    return np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, observed)).astype(np.uint8)
+    """Hard decisions, (trials, n_vars) uint8, from (n_vars, trials) beliefs p0:
+    above 1/2 gives 0, below gives 1, and anything else (an exact tie, NaN)
+    keeps the observed bit of the (trials, n_vars) word."""
+    low_or_kept = np.logical_or(p0 < 0.5, observed.T)
+    # True > False: below 1/2 or kept, and not above it.
+    return np.greater(low_or_kept, p0 > 0.5).T.view(np.uint8)
 
 
 # Iterated beliefs are clamped one ulp inside (0, 1), and extrinsic biases to
@@ -214,20 +219,27 @@ def _bp_batch(
     run through every round, with every converged flag set; only the rounds
     run, the fourth output, fall short of the requested count.
 
-    Trials run innermost and the per-edge arrays are degree-slot-major, the
+    Trials run innermost and per-edge arrays are degree-slot-major, the
     layout np.take gives a gather of the partner tables along axis 0:
     per-variable state is (n_vars, trials), message sources (n_src + 2,
-    trials) and per-edge messages (max_degree, n_vars, trials), so each
-    degree slot is one contiguous (n_vars, trials) block. The per-edge
-    buffers are allocated once per call, and every round writes into them
-    with out=; the extrinsic schedule writes each round's biases into the
-    other of two source buffers, so the previous ones stay to compare with.
+    trials) and per-edge messages (slots, n_vars, trials), so each degree
+    slot is one contiguous (n_vars, trials) block. A round works through
+    the degree slots in blocks of consecutive slots, each within
+    _BP_SLOT_BYTES (one slot at least), so the gather, the partner product
+    and the log1p pair of a block stay in cache while its messages are added
+    into the beliefs. The belief schedule holds one block of messages and
+    one block of scratch, and no per-edge array. The extrinsic schedule
+    holds every slot's messages, which the suffix sums need, plus its two
+    source buffers of per-edge biases: each round writes its biases into the
+    other one, so the previous ones stay to compare with. All buffers are
+    allocated once per call, and every round writes into them with out=.
     Gathers use mode="clip", which np.take does not buffer; the tables hold
     no index out of range. A variable's messages are added one degree slot at
-    a time, left to right, as are the prefix and suffix sums of the extrinsic
-    pass: numpy's own reductions add pairwise along a contiguous axis, so a
-    batch of one trial would round differently from a larger one. With the
-    order written out, a trial's beliefs do not depend on its batch.
+    a time, left to right, as are the prefix sums of the extrinsic pass, and
+    its suffix sums right to left: numpy's own reductions add pairwise along
+    a contiguous axis, so a batch of one trial would round differently from
+    a larger one. With the order written out, a trial's beliefs depend on
+    neither its batch nor the block size.
     """
     extrinsic = schedule == "extrinsic"
     partners = _bp_layout(graph)[schedule]
@@ -237,39 +249,49 @@ def _bp_batch(
     nxt = np.empty_like(cur)
     with np.errstate(divide="ignore"):
         lprior = np.log(cur) - np.log1p(-cur)
-    g = np.empty((d_max, nv, t))
-    tmp = np.empty_like(g)
-    acc = np.empty_like(cur)
+    width = max(1, min(d_max, _BP_SLOT_BYTES // max(1, 8 * nv * t)))
+    blocks = [(k0, min(k0 + width, d_max)) for k0 in range(0, d_max, width)]
+    tmp = np.empty((width, nv, t))
     # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
     # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
     src = np.empty(((d_max * nv if extrinsic else nv) + 2, t))
     src[-2:] = [[1.0], [0.0]]
     if extrinsic:
-        new = src.copy()
+        g = np.empty((d_max, nv, t))
+        acc = np.empty_like(cur)
+        new = np.empty_like(src)
+        new[-2:] = src[-2:]
         src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
-        bias = new[:-2].reshape(d_max, nv, t)
+    else:
+        g = np.empty_like(tmp)
     for rounds in range(1, iterations + 1):
-        if not extrinsic:
-            src[:-2] = 2.0 * cur - 1.0
-        np.take(src, partners[0], axis=0, out=g, mode="clip")
-        for p in partners[1:]:
-            np.take(src, p, axis=0, out=tmp, mode="clip")
-            np.multiply(g, tmp, out=g)
-        np.negative(g, out=tmp)
-        with np.errstate(divide="ignore"):
-            np.log1p(tmp, out=tmp)
-            np.log1p(g, out=g)
-        np.subtract(g, tmp, out=g)
-        # nxt takes the LLR lprior + sum of messages, then the new p0. On the
-        # way, the running sum is, slot by slot, the prefix the extrinsic pass needs.
-        np.copyto(nxt, g[0])
         if extrinsic:
+            bias = new[:-2].reshape(d_max, nv, t)
             bias[0] = 0.0
+        else:
+            src[:-2] = 2.0 * cur - 1.0
+        for k0, k1 in blocks:
+            msg, scratch = g[k0:k1] if extrinsic else g[: k1 - k0], tmp[: k1 - k0]
+            np.take(src, partners[0, k0:k1], axis=0, out=msg, mode="clip")
+            for p in partners[1:]:
+                np.take(src, p[k0:k1], axis=0, out=scratch, mode="clip")
+                np.multiply(msg, scratch, out=msg)
+            np.negative(msg, out=scratch)
+            with np.errstate(divide="ignore"):
+                np.log1p(scratch, out=scratch)
+                np.log1p(msg, out=msg)
+            np.subtract(msg, scratch, out=msg)
+            # nxt takes the sum of messages, slot by slot; on the way, the
+            # running sum is the prefix the extrinsic pass needs.
+            with np.errstate(invalid="ignore"):
+                for k, m in enumerate(msg, k0):
+                    if k == 0:
+                        np.copyto(nxt, m)
+                        continue
+                    if extrinsic:
+                        np.copyto(bias[k], nxt)
+                    np.add(nxt, m, out=nxt)
         with np.errstate(invalid="ignore"):
-            for k in range(1, d_max):
-                if extrinsic:
-                    np.copyto(bias[k], nxt)
-                np.add(nxt, g[k], out=nxt)
             np.add(nxt, lprior, out=nxt)
         # +inf meeting -inf: hard evidence for both values of one variable.
         if np.isnan(nxt).any():
@@ -285,27 +307,27 @@ def _bp_batch(
         settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
         if extrinsic:
             # Each edge's bias: lprior + (prefix + suffix), the prefix already in
-            # place, the suffix built right to left into tmp.
-            tmp[-1] = 0.0
-            if d_max > 1:
-                np.copyto(acc, g[-1])
-                np.copyto(tmp[-2], acc)
-            for k in range(d_max - 3, -1, -1):
-                np.add(acc, g[k + 1], out=acc)
-                np.copyto(tmp[k], acc)
-            np.add(bias, tmp, out=bias)
-            np.add(bias, lprior, out=bias)
-            np.divide(bias, 2.0, out=bias)
-            np.tanh(bias, out=bias)
-            np.clip(bias, -_BIAS_MAX, _BIAS_MAX, out=bias)
+            # place, the suffix of later slots added right to left (+ 0.0 on the
+            # last slot, which turns -0.0 into +0.0), then the tanh rule's tail,
+            # block by block.
+            suffix = None
+            for k0, k1 in reversed(blocks):
+                for k in range(k1 - 1, k0 - 1, -1):
+                    np.add(bias[k], 0.0 if suffix is None else suffix, out=bias[k])
+                    if k:
+                        suffix = g[k] if suffix is None else np.add(suffix, g[k], out=acc)
+                b = bias[k0:k1]
+                np.add(b, lprior, out=b)
+                np.divide(b, 2.0, out=b)
+                np.tanh(b, out=b)
+                np.clip(b, -_BIAS_MAX, _BIAS_MAX, out=b)
             settled = settled and np.array_equal(new.view(np.uint64), src.view(np.uint64))
             src, new = new, src
-            bias = new[:-2].reshape(d_max, nv, t)
         if settled:
             break
     # After the swap, nxt holds the beliefs of the round before the last.
-    hard = _hard(cur.T, observed)
-    return cur.T, hard, (hard == _hard(nxt.T, observed)).all(axis=1), rounds
+    hard = _hard(cur, observed)
+    return cur.T, hard, (hard == _hard(nxt, observed)).all(axis=1), rounds
 
 
 def bp_decode(

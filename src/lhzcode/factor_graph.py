@@ -40,12 +40,15 @@ class FactorGraph:
     def __post_init__(self):
         check_count("n_vars", self.n_vars, 0)
         check_type("checks", self.checks, tuple)
-        for c in self.checks:
-            check_type("check", c, tuple)
-            for v in c:
-                check_count("check variable", v, 0, self.n_vars - 1)
-            if len(set(c)) != len(c):
-                raise ConfigError(f"check {c} touches a variable twice")
+        if not _plain_checks(self.n_vars, self.checks):
+            # Entry by entry: raises at the first bad one, or passes what the
+            # arrays cannot hold (integers past int64 in a graph that large).
+            for c in self.checks:
+                check_type("check", c, tuple)
+                for v in c:
+                    check_count("check variable", v, 0, self.n_vars - 1)
+                if len(set(c)) != len(c):
+                    raise ConfigError(f"check {c} touches a variable twice")
         object.__setattr__(self, "_hash", hash((self.n_vars, self.checks)))
 
     def __hash__(self) -> int:
@@ -54,6 +57,30 @@ class FactorGraph:
     @property
     def n_checks(self) -> int:
         return len(self.checks)
+
+
+def _plain_checks(n_vars: int, checks: tuple) -> bool:
+    """Whether every check is a tuple of distinct integers in [0, n_vars), tested
+    with array operations: one pass over the types, then the entries as one
+    int64 array. np.fromiter would read True, 1.0 or "1" as 1, so every entry
+    type but int is first put to check_count once. False on any doubt."""
+    entries = chain.from_iterable
+    if not all(issubclass(kind, tuple) for kind in set(map(type, checks))):
+        return False
+    try:
+        for kind in set(map(type, entries(checks))) - {int}:
+            check_count("check variable", next(v for v in entries(checks) if type(v) is kind))
+        lens = np.fromiter(map(len, checks), np.int64, len(checks))
+        var = np.fromiter(entries(checks), np.int64, int(lens.sum()))
+    except (ConfigError, OverflowError):
+        return False
+    if not var.size:
+        return True
+    if var.min() < 0 or var.max() >= n_vars or len(checks) * n_vars > np.iinfo(np.int64).max:
+        return False
+    key = np.repeat(np.arange(len(checks), dtype=np.int64) * n_vars, lens) + var
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
 
 
 def triangle_graph(n: int) -> FactorGraph:

@@ -49,6 +49,7 @@ from reference import (
     syndrome,
     vote_majority,
 )
+from reference import _hard as reference_hard
 
 bit_words = st.integers(2, 7).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
@@ -287,6 +288,58 @@ class TestBpAgainstSlotMajor:
     def test_bit_identical_batch_sizes(self, graph, schedule, t):
         self._check(graph, schedule, t)
 
+    @pytest.mark.parametrize("width", [1, 3, None], ids=["one-slot", "partial-last", "one-block"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "graph", [triangle_graph(12), triangle_graph(19), planar_lhz_graph(12), planar_lhz_graph(20)],
+        ids=["tri12", "tri19", "planar12", "planar20"],
+    )
+    def test_bit_identical_slot_blocks(self, monkeypatch, graph, schedule, width):
+        # Blocks of one slot, of three slots with a shorter last one (the
+        # graphs' max degrees, 10, 17 and 4, are not multiples of 3), and
+        # every slot in one block give the same bytes as the oracle.
+        t = 8
+        d_max = lhzcode.decoders._bp_layout(graph)["belief"].shape[1]
+        assert d_max % 3
+        budget = 1 << 40 if width is None else width * 8 * graph.n_vars * t
+        monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", budget)
+        self._check(graph, schedule, t)
+
+
+def test_belief_schedule_holds_no_per_edge_array():
+    # Triangle n=40, 32 trials: one per-edge array is 38 x 780 x 32 x 8 bytes,
+    # 7.6 MB, and the engine that held two of them peaked at 15.8 MiB. The
+    # belief schedule now holds blocks of degree slots within _BP_SLOT_BYTES.
+    graph = triangle_graph(40)
+    observed, priors = _exit_batch(graph, 0.1, t=32)
+    _bp_batch(graph, priors["channel"], observed, 5, "belief")  # builds the cached layout
+    tracemalloc.start()
+    try:
+        _bp_batch(graph, priors["channel"], observed, 5, "belief")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_graph_without_variables(schedule):
+    # No variable and no trial byte: the slot blocks are sized without dividing by zero.
+    out = bp_decode(FactorGraph(0, ()), np.zeros((0, 2)), schedule=schedule)
+    assert out.word.size == 0 and out.beliefs.shape == (0, 2) and out.converged
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_hard_decision_rule(dtype):
+    # Above 1/2 gives 0, below gives 1, and anything else keeps the observed
+    # bit: an exact tie, NaN. Same dtype and bytes as the nested np.where rule.
+    values = [0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0, np.nan, -np.inf, np.inf, -0.0]
+    p0 = np.array([values, values[::-1]] * 2)
+    observed = np.array([[0] * len(values)] * 2 + [[1] * len(values)] * 2, dtype=dtype)
+    got = lhzcode.decoders._hard(np.ascontiguousarray(p0.T), observed)
+    want = reference_hard(p0, observed)
+    assert got.dtype == want.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
 
 def _exit_batch(graph, eps, t=16, seed=41):
     """Observed words and three prior kinds for a batch of noisy codewords:
@@ -302,9 +355,10 @@ def _exit_batch(graph, eps, t=16, seed=41):
     return observed, priors
 
 
-class _CountLog1p:
-    """Stands in for numpy inside lhzcode.decoders and counts np.log1p calls:
-    _bp_batch makes one for the prior LLRs and two per round it runs."""
+class _CountExp:
+    """Stands in for numpy inside lhzcode.decoders and counts np.exp calls:
+    _bp_batch makes one per round it runs, for the new beliefs. (Its np.log1p
+    calls come two per block of degree slots, and a round may have several.)"""
 
     def __init__(self):
         self.calls = 0
@@ -312,9 +366,9 @@ class _CountLog1p:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def log1p(self, *args, **kwargs):
+    def exp(self, *args, **kwargs):
         self.calls += 1
-        return np.log1p(*args, **kwargs)
+        return np.exp(*args, **kwargs)
 
 
 _EXIT_CASES = (
@@ -348,11 +402,11 @@ class TestBpFixedPointExit:
 
     @staticmethod
     def _rounds_run(monkeypatch, graph, p0, observed, iterations, schedule):
-        spy = _CountLog1p()
+        spy = _CountExp()
         with monkeypatch.context() as m:
             m.setattr(lhzcode.decoders, "np", spy)
             out = _bp_batch(graph, p0, observed, iterations, schedule)
-        return (spy.calls - 1) // 2, out
+        return spy.calls, out
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_settled_batch_skips_rounds(self, monkeypatch, schedule):

@@ -50,6 +50,29 @@ class TestFactorGraph:
         with pytest.raises(ConfigError):
             FactorGraph(3, ((0, entry),))
 
+    @pytest.mark.parametrize("entry", [15, -1, True, np.True_, 1.0, "1", None, 2**64, np.uint64(2**64 - 1), "twice"])
+    def test_bad_entry_deep_in_a_graph(self, entry):
+        # One bad entry in the middle of the last check of a 20-check graph on
+        # 15 variables: the array pass must see it wherever it sits, and the
+        # message names its rule.
+        checks = triangle_graph(6).checks
+        twice = isinstance(entry, str) and entry == "twice"
+        first, _, last = checks[-1]
+        bad = (first, first if twice else entry, last)
+        with pytest.raises(ConfigError, match="twice" if twice else "check variable"):
+            FactorGraph(15, checks[:-1] + (bad,))
+
+    def test_a_check_that_is_not_a_tuple(self):
+        with pytest.raises(ConfigError, match="check must be a tuple"):
+            FactorGraph(15, triangle_graph(6).checks[:-1] + ([0, 1, 2],))
+
+    def test_entries_past_int64(self):
+        # Valid but too large for the int64 array pass; the entry-by-entry rules decide.
+        big = 2**64
+        assert FactorGraph(big + 2, ((big, big + 1),)).n_checks == 1
+        with pytest.raises(ConfigError, match="twice"):
+            FactorGraph(big + 2, ((big, big),))
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
     def test_numpy_integer_entries(self, dtype):
         checks = ((0, 1, 2), (1, 2))
