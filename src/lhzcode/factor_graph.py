@@ -78,9 +78,9 @@ def _plain_checks(n_vars: int, checks: tuple) -> bool:
         return True
     if var.min() < 0 or var.max() >= n_vars or len(checks) * n_vars > np.iinfo(np.int64).max:
         return False
-    key = np.repeat(np.arange(len(checks), dtype=np.int64) * n_vars, lens) + var
-    key.sort()
-    return not (key[1:] == key[:-1]).any()
+    var += np.repeat(np.arange(len(checks), dtype=np.int64) * n_vars, lens)  # (check, variable) keys
+    var.sort()
+    return not (var[1:] == var[:-1]).any()
 
 
 def triangle_graph(n: int) -> FactorGraph:
