@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -133,48 +132,50 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 # ---------------------------------------------------------- message passing
 
 @lru_cache(maxsize=None)
-def _bp_layout(graph: FactorGraph) -> dict[str, np.ndarray]:
-    """Degree-slot-major partner tables, (max_weight - 1, max_degree, n_vars),
-    by schedule: [j, k, v] is the j-th partner of variable v in its k-th check,
-    in check order, as a variable u (belief) or as the edge k'*n_vars + u
-    that u's message to that check comes from, u's k'-th check being this
-    one (extrinsic). The two indices past a table's variables or edges stand
-    for bias 1, which pads short checks, and bias 0, which pads the slots of
-    variables in fewer than max_degree checks, whose message is then 0."""
-    nv, nc = graph.n_vars, graph.n_checks
-    lens = np.fromiter(map(len, graph.checks), dtype=np.intp, count=nc)
-    var = np.fromiter(chain.from_iterable(graph.checks), dtype=np.intp, count=int(lens.sum()))
+def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
+    """The schedule's degree-slot-major partner table, (max_weight - 1,
+    max_degree, n_vars): [j, k, v] is the j-th partner of variable v in its
+    k-th check, in check order, as a variable u (belief) or as the edge
+    k'*n_vars + u that u's message to that check comes from, u's k'-th check
+    being this one (extrinsic). The two indices past the table's variables or
+    edges stand for bias 1, which pads short checks, and bias 0, which pads
+    the slots of variables in fewer than max_degree checks, whose message is
+    then 0. Each call builds only the table of its schedule, read straight
+    from the graph's int32 arrays; a cell reads only one."""
+    nv, nc, var = graph.n_vars, graph.n_checks, graph.entries
+    lens = np.diff(graph.offsets)
     # Edge e is position pos[e] of check chk[e] and slot slot[e] of variable
     # var[e]. Edges run check-major, so a stable sort by variable lists each
     # variable's checks in check order.
-    chk = np.repeat(np.arange(nc), lens)
-    pos = np.arange(var.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    chk = np.repeat(np.arange(nc, dtype=np.int32), lens)
+    pos = np.arange(var.size, dtype=np.int32) - np.repeat(graph.offsets[:-1], lens)
     deg = np.bincount(var, minlength=nv)
     d_max, w = max(1, int(deg.max(initial=0))), max(2, int(lens.max(initial=0)))
-    slot = np.empty_like(var)
+    slot = np.empty(var.size, dtype=np.int32 if d_max * nv + 2 <= np.iinfo(np.int32).max else np.intp)
     slot[np.argsort(var, kind="stable")] = np.arange(var.size) - np.repeat(np.cumsum(deg) - deg, deg)
     edge = slot * nv + var
+    del slot
     # Position i's partners, the longer of its prefix and reversed suffix
     # first, so their left-to-right product rounds like a prefix times a
     # suffix product up to weight 4: (x3*x2)*x1, (x3*x2)*x0, (x0*x1)*x3, (x0*x1)*x2.
     fold = np.array([[*range(w - 1, i, -1), *range(i)] if 2 * i < w else [*range(i), *range(w - 1, i, -1)]
                      for i in range(w)], dtype=np.intp)
-
-    def partners(index: np.ndarray, n_src: int) -> np.ndarray:
-        table = np.full((nc, w), n_src)
-        table[chk, pos] = index
-        out = np.full((w - 1, d_max * nv), n_src + 1)
-        out[:, edge] = table[chk[:, None], fold[pos]].T
-        out.setflags(write=False)
-        return out.reshape(w - 1, d_max, nv)
-
-    return {"belief": partners(var, nv), "extrinsic": partners(edge, d_max * nv)}
+    index, n_src = (edge, d_max * nv) if schedule == "extrinsic" else (var, nv)
+    table = np.full((nc, w), n_src)
+    table[chk, pos] = index
+    out = np.full((w - 1, d_max * nv), n_src + 1)
+    for j in range(w - 1):
+        out[j, edge] = table[chk, fold[pos, j]]
+    out.setflags(write=False)
+    return out.reshape(w - 1, d_max, nv)
 
 
-def _bp_rows(graph: FactorGraph) -> int:
+def _bp_rows(graph: FactorGraph, schedule: str) -> int:
     """Trials per _bp_batch call on graph: _BP_TRIALS, fewer (at least one) where
-    a per-edge array would pass _BP_BLOCK_BYTES. It sizes memory, never output."""
-    _, d_max, nv = _bp_layout(graph)["belief"].shape
+    a per-edge array would pass _BP_BLOCK_BYTES. It reads the sizes off the
+    schedule's own partner table, so no other table gets built. It sizes
+    memory, never output."""
+    _, d_max, nv = _bp_layout(graph, schedule).shape
     return max(1, min(_BP_TRIALS, _BP_BLOCK_BYTES // (8 * d_max * nv)))
 
 
@@ -242,7 +243,7 @@ def _bp_batch(
     neither its batch nor the block size.
     """
     extrinsic = schedule == "extrinsic"
-    partners = _bp_layout(graph)[schedule]
+    partners = _bp_layout(graph, schedule)
     _, d_max, nv = partners.shape
     t = p0.shape[0]
     cur = np.array(p0.T, dtype=np.float64, order="C")
@@ -307,13 +308,13 @@ def _bp_batch(
         settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
         if extrinsic:
             # Each edge's bias: lprior + (prefix + suffix), the prefix already in
-            # place, the suffix of later slots added right to left (+ 0.0 on the
-            # last slot, which turns -0.0 into +0.0), then the tanh rule's tail,
-            # block by block.
+            # place, the suffix of later slots added right to left (the last
+            # slot has none), then the tanh rule's tail, block by block.
             suffix = None
             for k0, k1 in reversed(blocks):
                 for k in range(k1 - 1, k0 - 1, -1):
-                    np.add(bias[k], 0.0 if suffix is None else suffix, out=bias[k])
+                    if suffix is not None:
+                        np.add(bias[k], suffix, out=bias[k])
                     if k:
                         suffix = g[k] if suffix is None else np.add(suffix, g[k], out=acc)
                 b = bias[k0:k1]

@@ -1,18 +1,19 @@
 """Parity-check matrices held as sparse factor graphs.
 
 A FactorGraph is the bipartite view of a binary parity-check matrix: one
-tuple of variable indices per even-parity constraint. Constructors cover
-the two constraint systems of the pairwise-parity code: the full triangle
-set and the planar subset. Both compute their checks' pair indices as
-arrays and turn the rows into tuples once.
+even-parity constraint per check, held as two read-only int32 arrays, the
+checks' variable indices back to back and where each check starts.
+Constructors cover the two constraint systems of the pairwise-parity code:
+the full triangle set and the planar subset. Both compute their checks'
+pair indices as arrays and hand the arrays over as they are; the tuple view
+`checks` is built only when something reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -22,65 +23,93 @@ from .errors import CapacityError, ConfigError, check_count, check_type
 __all__ = ["FactorGraph", "triangle_graph", "planar_lhz_graph"]
 
 # (check, variable) edges the graph constructors refuse to pass, past triangle n = 323 and planar n = 2898:
-# each costs ~40 bytes of tuples, and message passing float64 arrays of one entry per trial.
+# each costs 4 bytes of int32 entries, and message passing float64 arrays of one entry per trial.
 _MAX_EDGES = 1 << 24
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-@dataclass(frozen=True)
 class FactorGraph:
     """n_vars variable nodes and one even-parity check per index tuple.
 
-    Graphs are cache keys (decoders._bp_layout), so the hash of the checks is
-    computed once here rather than on every lookup.
+    The checks are held as read-only int32 arrays: entries, every check's
+    variables back to back, and offsets, n_checks + 1 of them, so check c is
+    entries[offsets[c]:offsets[c + 1]]. checks is their tuple view, built on
+    first access. Variable indices past int32 raise CapacityError. Graphs are
+    cache keys (decoders._bp_layout), so the hash is computed once here
+    rather than on every lookup.
     """
 
-    n_vars: int
-    checks: tuple[tuple[int, ...], ...]
+    def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
+        check_count("n_vars", n_vars, 0)
+        check_type("checks", checks, tuple)
+        for c in checks:
+            check_type("check", c, tuple)
+            for v in c:
+                check_count("check variable", v, 0, n_vars - 1)
+                if v > _INT32_MAX:
+                    raise CapacityError(f"check variable {v} is past the int32 limit {_INT32_MAX}")
+        offsets = np.zeros(len(checks) + 1, dtype=np.int32)
+        np.cumsum(np.fromiter(map(len, checks), np.int32, len(checks)), out=offsets[1:])
+        self._adopt(n_vars, np.fromiter(chain.from_iterable(checks), np.int32, int(offsets[-1])), offsets)
 
-    def __post_init__(self):
-        check_count("n_vars", self.n_vars, 0)
-        check_type("checks", self.checks, tuple)
-        if not _plain_checks(self.n_vars, self.checks):
-            # Entry by entry: raises at the first bad one, or passes what the
-            # arrays cannot hold (integers past int64 in a graph that large).
-            for c in self.checks:
-                check_type("check", c, tuple)
-                for v in c:
-                    check_count("check variable", v, 0, self.n_vars - 1)
-                if len(set(c)) != len(c):
-                    raise ConfigError(f"check {c} touches a variable twice")
-        object.__setattr__(self, "_hash", hash((self.n_vars, self.checks)))
+    def _adopt(self, n_vars: int, entries: np.ndarray, offsets: np.ndarray) -> None:
+        """Validate int32 entries and offsets as laid out above, make them read-only and keep them."""
+        if entries.dtype != np.int32 or offsets.dtype != np.int32:
+            raise ConfigError("checks must be held as int32 arrays")
+        if entries.size:
+            if entries.min() < 0 or int(entries.max()) >= n_vars:
+                raise ConfigError(f"need check variables in [0, {n_vars - 1}]")
+            # (check, variable) keys, already check-major, so the stable sort
+            # only orders each check's run; a repeat then sits next to its twin.
+            stride = int(entries.max()) + 1
+            keys = np.repeat(np.arange(offsets.size - 1, dtype=np.int64) * stride, np.diff(offsets))
+            keys += entries
+            keys.sort(kind="stable")
+            twins = np.flatnonzero(keys[1:] == keys[:-1])
+            if twins.size:
+                c = int(keys[twins[0]]) // stride
+                check = tuple(entries[offsets[c] : offsets[c + 1]].tolist())
+                raise ConfigError(f"check {check} touches a variable twice")
+        entries.setflags(write=False)
+        offsets.setflags(write=False)
+        for name, value in (("n_vars", n_vars), ("entries", entries), ("offsets", offsets),
+                            ("_hash", hash((n_vars, offsets.tobytes(), entries.tobytes())))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FactorGraph is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactorGraph):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.n_vars == other.n_vars
+                                 and np.array_equal(self.offsets, other.offsets)
+                                 and np.array_equal(self.entries, other.entries))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def n_checks(self) -> int:
-        return len(self.checks)
+        return self.offsets.size - 1
+
+    @cached_property
+    def checks(self) -> tuple[tuple[int, ...], ...]:
+        """One tuple of variable indices per check, built from the arrays."""
+        flat, ends = self.entries.tolist(), self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
-def _plain_checks(n_vars: int, checks: tuple) -> bool:
-    """Whether every check is a tuple of distinct integers in [0, n_vars), tested
-    with array operations: one pass over the types, then the entries as one
-    int64 array. np.fromiter would read True, 1.0 or "1" as 1, so every entry
-    type but int is first put to check_count once. False on any doubt."""
-    entries = chain.from_iterable
-    if not all(issubclass(kind, tuple) for kind in set(map(type, checks))):
-        return False
-    try:
-        for kind in set(map(type, entries(checks))) - {int}:
-            check_count("check variable", next(v for v in entries(checks) if type(v) is kind))
-        lens = np.fromiter(map(len, checks), np.int64, len(checks))
-        var = np.fromiter(entries(checks), np.int64, int(lens.sum()))
-    except (ConfigError, OverflowError):
-        return False
-    if not var.size:
-        return True
-    if var.min() < 0 or var.max() >= n_vars or len(checks) * n_vars > np.iinfo(np.int64).max:
-        return False
-    var += np.repeat(np.arange(len(checks), dtype=np.int64) * n_vars, lens)  # (check, variable) keys
-    var.sort()
-    return not (var[1:] == var[:-1]).any()
+def _stacked(n_vars: int, *blocks: np.ndarray) -> FactorGraph:
+    """The graph whose checks are the rows of each 2-D int32 block in turn,
+    built from arrays without going through tuples."""
+    offsets, top = [np.zeros(1, dtype=np.int32)], 0
+    for b in blocks:
+        offsets.append(top + b.shape[1] * np.arange(1, len(b) + 1, dtype=np.int32))
+        top += b.size
+    graph = FactorGraph.__new__(FactorGraph)
+    graph._adopt(n_vars, np.concatenate([b.ravel() for b in blocks]), np.concatenate(offsets))
+    return graph
 
 
 def triangle_graph(n: int) -> FactorGraph:
@@ -102,14 +131,18 @@ def _check_edges(kind: str, n: int, edges: int) -> None:
 
 @lru_cache(maxsize=None)
 def _triangle_graph(n: int) -> FactorGraph:
-    ijk = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), 3)), np.intp, 3 * math.comb(n, 3))
-    i, j, k = ijk.reshape(-1, 3).T
-    checks = np.stack([_pair_ids(i, j, n), _pair_ids(i, k, n), _pair_ids(j, k, n)], axis=1)
-    return FactorGraph(num_pairs(n), _tuples(checks))
-
-
-def _tuples(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, rows.tolist()))
+    # Checks i < j < k in lexicographic order: each pair (i, j), row-major,
+    # meets k = j+1..n, where index(i, k) = index(i, j) + m + 1 and
+    # index(j, k) = index(j, j+1) + m for m = k - j - 1.
+    i, j = (x.astype(np.int32) + 1 for x in np.triu_indices(n, 1))
+    runs = n - j
+    first = np.repeat(_pair_ids(i, j, n), runs)
+    m = np.arange(first.size, dtype=np.int32) - np.repeat(np.cumsum(runs, dtype=np.int32) - runs, runs)
+    checks = np.empty((first.size, 3), dtype=np.int32)
+    checks[:, 0] = first
+    np.add(first, m + 1, out=checks[:, 1])
+    np.add(np.repeat(_pair_ids(j, j + 1, n), runs), m, out=checks[:, 2])
+    return _stacked(num_pairs(n), checks)
 
 
 def planar_lhz_graph(n: int) -> FactorGraph:
@@ -128,10 +161,10 @@ def planar_lhz_graph(n: int) -> FactorGraph:
 
 @lru_cache(maxsize=None)
 def _planar_lhz_graph(n: int) -> FactorGraph:
-    i = np.arange(1, n - 1, dtype=np.intp)
+    i = np.arange(1, n - 1, dtype=np.int32)
     boundary = np.stack([_pair_ids(i, i + 1, n), _pair_ids(i, i + 2, n), _pair_ids(i + 1, i + 2, n)], axis=1)
-    i, j = (x + 1 for x in np.triu_indices(n - 1, 2))  # 1 <= i, i+2 <= j <= n-1, row-major
+    i, j = (x.astype(np.int32) + 1 for x in np.triu_indices(n - 1, 2))  # 1 <= i, i+2 <= j <= n-1, row-major
     plaquettes = np.stack(
         [_pair_ids(i, j, n), _pair_ids(i, j + 1, n), _pair_ids(i + 1, j, n), _pair_ids(i + 1, j + 1, n)], axis=1
     )
-    return FactorGraph(num_pairs(n), _tuples(boundary) + _tuples(plaquettes))
+    return _stacked(num_pairs(n), boundary, plaquettes)

@@ -234,7 +234,7 @@ def run_cell(
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     check_count("eps_index", eps_index, 0)
     fg = graph_for(graph, n) if decoder == "bp" else None
-    block = _DRAW_BLOCK if fg is None else _bp_rows(fg)
+    block = _DRAW_BLOCK if fg is None else _bp_rows(fg, schedule)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):

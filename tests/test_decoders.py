@@ -299,7 +299,7 @@ class TestBpAgainstSlotMajor:
         # graphs' max degrees, 10, 17 and 4, are not multiples of 3), and
         # every slot in one block give the same bytes as the oracle.
         t = 8
-        d_max = lhzcode.decoders._bp_layout(graph)["belief"].shape[1]
+        d_max = lhzcode.decoders._bp_layout(graph, schedule).shape[1]
         assert d_max % 3
         budget = 1 << 40 if width is None else width * 8 * graph.n_vars * t
         monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", budget)

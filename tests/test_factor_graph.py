@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lhzcode.factor_graph
 from lhzcode.codes import MAX_N
-from lhzcode.decoders import SCHEDULES, _bp_layout, _vote_index_arrays
+from lhzcode.decoders import SCHEDULES, _bp_batch, _bp_layout, _bp_rows, _vote_index_arrays
 from lhzcode.sim import graph_for
 from reference import enumerate_codewords, gf2_rank, hamming_7_4, naive_belief_bp, naive_extrinsic_bp, syndrome
 
@@ -66,14 +66,18 @@ class TestFactorGraph:
         with pytest.raises(ConfigError, match="check must be a tuple"):
             FactorGraph(15, triangle_graph(6).checks[:-1] + ([0, 1, 2],))
 
-    def test_entries_past_int64(self):
-        # Valid but too large for the int64 array pass; the entry-by-entry rules decide.
-        big = 2**64
-        assert FactorGraph(big + 2, ((big, big + 1),)).n_checks == 1
+    def test_entries_past_int32(self):
+        # Checks are held as int32 arrays: the largest int32 index is a
+        # variable like any other, and one past it is refused as too large.
+        top = 2**31 - 1
+        assert FactorGraph(top + 1, ((top - 1, top),)).checks == ((top - 1, top),)
+        for big in (top + 1, 2**64):
+            with pytest.raises(CapacityError, match="int32"):
+                FactorGraph(big + 2, ((0, big),))
         with pytest.raises(ConfigError, match="twice"):
-            FactorGraph(big + 2, ((big, big),))
+            FactorGraph(top + 1, ((top, top),))
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64, np.uint64])
     def test_numpy_integer_entries(self, dtype):
         checks = ((0, 1, 2), (1, 2))
         fg = FactorGraph(3, tuple(tuple(dtype(v) for v in c) for c in checks))
@@ -101,12 +105,11 @@ class TestFactorGraph:
         # second slot is the bias-0 index (variable 5, edge 9) throughout.
         # Edges are k*4 + v: slot 0 is 0,1,2,3 and slot 1 is 4,5,(6),7.
         fg = FactorGraph(4, ((0, 1), (1, 2, 3), (0, 3)))
-        layout = _bp_layout(fg)
-        assert layout["belief"].tolist() == [
+        assert _bp_layout(fg, "belief").tolist() == [
             [[4, 4, 3, 1], [4, 3, 5, 4]],
             [[1, 0, 1, 2], [3, 2, 5, 0]],
         ]
-        assert layout["extrinsic"].tolist() == [
+        assert _bp_layout(fg, "extrinsic").tolist() == [
             [[8, 8, 3, 5], [8, 3, 9, 8]],
             [[1, 0, 5, 2], [7, 2, 9, 4]],
         ]
@@ -127,14 +130,13 @@ class TestFactorGraph:
         # (belief), or their edge ids k'*n_vars + u, u's k'-th check being the
         # same one (extrinsic); each table pads the rest with its bias-1 index.
         # Slots at or past deg(v) hold only the bias-0 index.
-        layout = _bp_layout(graph)
         nv = graph.n_vars
         in_checks = [[ci for ci, c in enumerate(graph.checks) if v in c] for v in range(nv)]
         d_max = max(1, max(map(len, in_checks)))
         w = max(2, max(map(len, graph.checks), default=0))
         edge = {(u, ci): k * nv + u for u in range(nv) for k, ci in enumerate(in_checks[u])}
         for schedule, n_src in (("belief", nv), ("extrinsic", d_max * nv)):
-            table = layout[schedule]
+            table = _bp_layout(graph, schedule)
             assert table.shape == (w - 1, d_max, nv) and not table.flags.writeable
             for v, k in itertools.product(range(nv), range(d_max)):
                 got = sorted(table[:, k, v].tolist())
@@ -145,6 +147,27 @@ class TestFactorGraph:
                 others = [u for u in graph.checks[ci] if u != v]
                 want = others if schedule == "belief" else [edge[u, ci] for u in others]
                 assert got == sorted(want + [n_src] * (w - 1 - len(others))), (schedule, v, k)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_one_table_per_schedule(self, monkeypatch, schedule):
+        # On a graph not seen before, sizing a batch and decoding it ask only
+        # for the cell's schedule, and the cache builds that one table once.
+        graph = FactorGraph(7, ((0, 1, 2), (2, 3, 4), (4, 5, 6, 0)))
+        layout, asked = lhzcode.decoders._bp_layout, []
+
+        def spy(g, s):
+            asked.append(s)
+            return layout(g, s)
+
+        monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
+        misses = layout.cache_info().misses
+        rows = _bp_rows(graph, schedule)
+        p0 = np.full((rows, graph.n_vars), 0.8)
+        _bp_batch(graph, p0, np.zeros(p0.shape, dtype=np.uint8), 3, schedule)
+        assert asked == [schedule, schedule]
+        assert layout.cache_info().misses == misses + 1
+        table = layout(graph, schedule)
+        assert isinstance(table, np.ndarray) and table.shape == (3, 2, 7)
 
     def test_hashable(self):
         assert triangle_graph(4) == triangle_graph(4)
@@ -157,9 +180,60 @@ class TestFactorGraph:
         assert a is not b and a.checks is not b.checks
         assert a == b and hash(a) == hash(b)
         size = _bp_layout.cache_info().currsize
-        assert _bp_layout(a) is _bp_layout(b)
+        assert _bp_layout(a, "belief") is _bp_layout(b, "belief")
         assert _bp_layout.cache_info().currsize == size + 1
         assert FactorGraph(10, a.checks[1:]) != a
+
+    @pytest.mark.parametrize("build", [triangle_graph, planar_lhz_graph])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_tuples_make_the_built_in_graph(self, build, n):
+        # The built-in graphs go through the array path, tuples through the
+        # public constructor: the same checks give equal graphs and hashes.
+        graph = build(n)
+        from_tuples = FactorGraph(graph.n_vars, graph.checks)
+        assert from_tuples == graph and hash(from_tuples) == hash(graph)
+        assert from_tuples.entries.tolist() == graph.entries.tolist()
+        assert from_tuples.offsets.tolist() == graph.offsets.tolist()
+
+    def test_different_checks_are_unequal(self):
+        graph = triangle_graph(5)
+        assert FactorGraph(graph.n_vars + 1, graph.checks) != graph
+        assert FactorGraph(graph.n_vars, graph.checks[::-1]) != graph
+        assert FactorGraph(3, ((0, 1), (2,))) != FactorGraph(3, ((0,), (1, 2)))  # same entries, other offsets
+        assert FactorGraph(3, ((0, 1),)) != FactorGraph(3, ((1, 0),))
+        assert graph != graph.checks and graph != "graph"
+
+    @pytest.mark.parametrize(
+        "checks", [(), ((0,),), ((0, 1), (), (3, 2, 1)), ((1, 2, 3, 0),) * 3], ids=["none", "one", "empty", "repeated"]
+    )
+    def test_checks_round_trip(self, checks):
+        fg = FactorGraph(4, checks)
+        assert fg.checks == checks and fg.n_checks == len(checks)
+        assert fg.checks is fg.checks  # built once
+        assert all(type(v) is int for c in fg.checks for v in c)
+
+    def test_arrays_are_read_only(self):
+        for fg in (FactorGraph(4, ((0, 1), (1, 2, 3))), triangle_graph(6), planar_lhz_graph(6)):
+            for arr in (fg.entries, fg.offsets):
+                assert arr.dtype == np.int32 and not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+            with pytest.raises(AttributeError):
+                fg.n_vars = 3
+
+    def test_array_path_validation(self):
+        # The built-in graphs' array constructor checks dtypes, ranges and repeats itself.
+        def build(*rows, dtype=np.int32):
+            return lhzcode.factor_graph._stacked(4, *(np.array(r, dtype=dtype) for r in rows))
+
+        assert build([[0, 1], [2, 3]], [[0, 1, 3]]).checks == ((0, 1), (2, 3), (0, 1, 3))
+        with pytest.raises(ConfigError, match="int32"):
+            build([[0, 1]], dtype=np.int64)
+        for bad in (-1, 4):
+            with pytest.raises(ConfigError, match="check variable"):
+                build([[0, bad]])
+        with pytest.raises(ConfigError, match=r"check \(2, 3, 2\) touches a variable twice"):
+            build([[0, 1]], [[2, 3, 2], [3, 1, 3]])
 
 
 class TestHamming:

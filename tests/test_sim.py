@@ -35,7 +35,7 @@ from lhzcode import (
     triangle_graph,
     union_bound,
 )
-from lhzcode.decoders import _bp_rows
+from lhzcode.decoders import SCHEDULES, _bp_rows
 from lhzcode.sim import _DRAW_BLOCK, _draw_words, _streams, graph_for
 
 from reference import exact_majority_pair_fail, syndrome
@@ -318,12 +318,14 @@ class TestRunCell:
         assert peak(64) <= 1.25 * peak(10)
 
     def test_bp_rows(self, monkeypatch):
-        # every message-passing cell of the benchmark keeps 32-trial batches
-        for graph, n in [("triangle", 2), ("triangle", 10), ("triangle", 40), ("planar", 40)]:
-            assert _bp_rows(graph_for(graph, n)) == 32
-        assert _bp_rows(graph_for("triangle", 60)) == 8 * 2**20 // (8 * 58 * 1770) == 10
+        # every message-passing cell of the benchmark keeps 32-trial batches,
+        # sized alike from either schedule's table
+        for schedule in SCHEDULES:
+            for graph, n in [("triangle", 2), ("triangle", 10), ("triangle", 40), ("planar", 40)]:
+                assert _bp_rows(graph_for(graph, n), schedule) == 32
+            assert _bp_rows(graph_for("triangle", 60), schedule) == 8 * 2**20 // (8 * 58 * 1770) == 10
         monkeypatch.setattr(lhzcode.decoders, "_BP_BLOCK_BYTES", 1)
-        assert _bp_rows(graph_for("triangle", 10)) == 1
+        assert _bp_rows(graph_for("triangle", 10), "belief") == 1
 
     def test_deterministic(self):
         a = run_cell(6, 0.15, "bp", 300, 21)
