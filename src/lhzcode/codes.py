@@ -101,9 +101,13 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
         raise ConfigError("bits must form a rectangular array") from None
     if a.ndim != 1 and not (batch and a.ndim == 2):
         raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
-    if not np.all((a == 0) | (a == 1)):
+    if np.issubdtype(a.dtype, np.integer):  # one min and one max, no per-element masks
+        ok = a.size == 0 or (a.min() >= 0 and a.max() <= 1)
+    else:
+        ok = a.dtype == bool or np.all((a == 0) | (a == 1))
+    if not ok:
         raise ConfigError("bits must be 0 or 1")
-    return a.astype(np.uint8)
+    return a.astype(np.uint8)  # always a copy, which apply_iid_flip flips in place
 
 
 def encode(bits) -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = ["FactorGraph", "triangle_graph", "planar_lhz_graph"]
 # each costs 4 bytes of int32 entries, and message passing float64 arrays of one entry per trial.
 _MAX_EDGES = 1 << 24
 _INT32_MAX = int(np.iinfo(np.int32).max)
+_PAIRWISE_MAX_WEIGHT = 8  # heavier checks are searched for repeats by sorting each one
 
 
 class FactorGraph:
@@ -59,15 +60,8 @@ class FactorGraph:
         if entries.size:
             if entries.min() < 0 or int(entries.max()) >= n_vars:
                 raise ConfigError(f"need check variables in [0, {n_vars - 1}]")
-            # (check, variable) keys, already check-major, so the stable sort
-            # only orders each check's run; a repeat then sits next to its twin.
-            stride = int(entries.max()) + 1
-            keys = np.repeat(np.arange(offsets.size - 1, dtype=np.int64) * stride, np.diff(offsets))
-            keys += entries
-            keys.sort(kind="stable")
-            twins = np.flatnonzero(keys[1:] == keys[:-1])
-            if twins.size:
-                c = int(keys[twins[0]]) // stride
+            c = _first_repeat(entries, offsets)
+            if c is not None:
                 check = tuple(entries[offsets[c] : offsets[c + 1]].tolist())
                 raise ConfigError(f"check {check} touches a variable twice")
         entries.setflags(write=False)
@@ -98,6 +92,42 @@ class FactorGraph:
         """One tuple of variable indices per check, built from the arrays."""
         flat, ends = self.entries.tolist(), self.offsets.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def _first_repeat(entries: np.ndarray, offsets: np.ndarray) -> int | None:
+    """The first check that holds a variable twice, or None.
+
+    The checks of each weight w are the rows of an (m, w) array, a view when
+    they sit back to back as in the built-in graphs, and their columns are
+    compared pairwise, or each row sorted once w makes that cheaper.
+    """
+    weights = np.diff(offsets)
+    cuts = (np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist()  # runs of one weight
+    spans = {}
+    for a, b in zip([0, *cuts], [*cuts, weights.size]):
+        spans.setdefault(int(weights[a]), []).append((a, b))
+    first = None
+    for w, runs in spans.items():
+        if w < 2:
+            continue
+        if len(runs) == 1:
+            [(a, b)] = runs
+            sel, rows = range(a, b), entries[offsets[a] : offsets[b]].reshape(-1, w)
+        else:
+            sel = np.flatnonzero(weights == w)
+            rows = entries[offsets[sel][:, None] + np.arange(w, dtype=np.int32)]
+        if w > _PAIRWISE_MAX_WEIGHT:
+            rows = np.sort(rows, axis=1)
+            bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        else:
+            bad = np.zeros(len(rows), dtype=bool)
+            for i in range(w - 1):
+                for j in range(i + 1, w):
+                    bad |= rows[:, i] == rows[:, j]
+        if bad.any():
+            c = int(sel[int(bad.argmax())])
+            first = c if first is None else min(first, c)
+    return first
 
 
 def _stacked(n_vars: int, *blocks: np.ndarray) -> FactorGraph:

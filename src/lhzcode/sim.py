@@ -6,8 +6,10 @@ the true ones. That comparison is gauge invariant, so the estimate does not
 depend on which of the two logical preimages the decoder lands on.
 
 Each cell reads its bits and flips from two RNG streams keyed by (seed,
-decoder id, n, eps index), trial after trial, so results are prefix-stable
-in trials and byte-identical under any block size, cell order, or threads.
+decoder id, n, eps index), trial after trial and a fixed count of raw 64-bit
+outputs per trial (n bits, ceil(k/2) for k flips), so results are
+prefix-stable in trials and byte-identical under any block size, cell
+order, or threads.
 run_cell's block loop, the only loop over a cell's trials, takes _DRAW_BLOCK
 trials at a time, or for message passing the batch decoders._bp_rows sizes.
 """
@@ -48,7 +50,8 @@ GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
-_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, keeps the uniforms ~6 MB at n=40
+_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, keeps the raw flip words ~3 MB at n=40
+_HALF = np.uint64(1 << 63)  # a raw output below it is a bit of 1, as its uniform (raw >> 11) * 2^-53 < 1/2
 
 
 def chernoff_bound(n: int, epsilon: float) -> float:
@@ -179,13 +182,15 @@ def _streams(cell: SimConfig, eps_index: int) -> tuple[np.random.Generator, np.r
 def _draw_words(cell: SimConfig, rngs: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """True and observed (rows, k) physical words of the next rows trials.
 
-    Trial t reads uniforms [t*n, (t+1)*n) of the bits stream (bit = u < 1/2)
-    and [t*k, (t+1)*k) of the flips stream. One uniform is one 64-bit output,
-    so drawing a cell in blocks of any size gives the bytes of one whole draw.
+    Trial t reads raw 64-bit outputs [t*n, (t+1)*n) of the bits stream (a
+    bit is 1 when its output is below 2^63, the same bit as a uniform below
+    1/2) and [t*ceil(k/2), (t+1)*ceil(k/2)) of the flips stream, two flips
+    per output (channel.apply_iid_flip). So drawing a cell in blocks of any
+    size gives the bytes of one whole draw.
     """
     (n,), (epsilon,) = cell.n_values, cell.eps_values
     bits_rng, flips_rng = rngs
-    b = np.zeros((rows, n), dtype=np.uint8) if cell.all_zero else bits_rng.random((rows, n)) < 0.5
+    b = np.zeros((rows, n), dtype=np.uint8) if cell.all_zero else bits_rng.bit_generator.random_raw((rows, n)) < _HALF
     true = encode(b)
     return true, apply_iid_flip(true, NoiseModel(epsilon), flips_rng)
 
@@ -289,7 +294,7 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
         except CapacityError as exc:
             return CellError(decoder=dec, n=n, epsilon=eps, message=str(exc))
 
-    workers = min(threads, len(cells), os.cpu_count() or 1)
+    workers = min(threads, len(cells), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, cells))

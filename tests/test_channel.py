@@ -1,9 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lhzcode import ConfigError, DimensionError, NoiseModel, apply_iid_flip, channel_prior, stream
+
+# SHA-256 of the flips of a (64, 45) zero batch at eps 0.1 from stream(2024, 7).
+# PCG64 and SeedSequence outputs are fixed across numpy versions, so this
+# holds on every numpy the package supports.
+FROZEN_DRAW_SHA256 = "f9e97ec5657830abab09fdf3695e5f7102fa6463564b31f6f14ad104f3e52b88"
 
 
 class TestNoiseModel:
@@ -43,23 +51,55 @@ class TestApplyFlip:
         out = apply_iid_flip(g, NoiseModel(0.0), stream(1))
         assert (out == g).all()
 
-    def test_draw_budget(self):
-        # flipping a word consumes exactly len(word) uniforms, in order,
-        # which is what lets a cell draw its trials block by block
-        g = np.zeros(8, dtype=np.uint8)
-        r1 = stream(42, 9)
-        apply_iid_flip(g, NoiseModel(0.3), r1)
-        tail1 = r1.random(4)
-        r2 = stream(42, 9)
-        r2.random(8)
-        tail2 = r2.random(4)
-        assert (tail1 == tail2).all()
+    @pytest.mark.parametrize("k", [8, 45])
+    def test_flips_are_split_raw_words(self, k):
+        # word t reads raw outputs [t*ceil(k/2), (t+1)*ceil(k/2)); bit 2i flips
+        # on output i's low 32 bits, bit 2i+1 on its high ones, an odd k
+        # drops the last high half, and the rng ends past exactly those outputs
+        words, eps = (k + 1) // 2, 0.3
+        g = np.random.default_rng(k).integers(0, 2, size=(7, k), dtype=np.uint8)
+        ref = stream(42, 9).bit_generator
+        raw = ref.random_raw((7, words))
+        halves = np.empty((7, 2 * words), dtype=np.uint64)
+        halves[:, 0::2], halves[:, 1::2] = raw & 0xFFFFFFFF, raw >> 32
+        expected = g ^ (halves[:, :k] < round(eps * 2**32))
+        rng = stream(42, 9)
+        assert (apply_iid_flip(g, NoiseModel(eps), rng) == expected).all()
+        assert rng.bit_generator.random_raw() == ref.random_raw()
 
-    def test_flip_pattern_is_threshold(self):
-        g = np.zeros(16, dtype=np.uint8)
-        u = stream(5, 0).random(16)
-        out = apply_iid_flip(g, NoiseModel(0.25), stream(5, 0))
-        assert (out == (u < 0.25)).all()
+    def test_memory_order_changes_nothing(self):
+        # encode's batches are column-major; the flips must not depend on that
+        g = np.random.default_rng(2).integers(0, 2, size=(33, 45), dtype=np.uint8)
+        for words in (np.asfortranarray(g), g[:, ::-1].copy()[:, ::-1]):
+            assert (apply_iid_flip(words, NoiseModel(0.2), stream(8)) == apply_iid_flip(g, NoiseModel(0.2), stream(8))).all()
+
+    @pytest.mark.parametrize("shape", [(9,), (300, 45), (2, 0)])
+    def test_eps_zero_flips_nothing(self, shape):
+        g = np.random.default_rng(1).integers(0, 2, size=shape, dtype=np.uint8)
+        assert (apply_iid_flip(g, NoiseModel(0.0), stream(3)) == g).all()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    def test_rate_is_threshold_over_2_32(self, eps):
+        thr = round(eps * 2**32)
+        assert abs(thr / 2**32 - eps) <= 2.0**-33
+        p, draws, flips = thr / 2**32, 10**7, 0
+        rng = stream(77, int(eps * 10))
+        for _ in range(10):  # 10^6 flips per call keeps the raw words at 4 MB
+            flips += int(apply_iid_flip(np.zeros((100, 10**4), dtype=np.uint8), NoiseModel(eps), rng).sum())
+        assert abs(flips - draws * p) < 5 * math.sqrt(draws * p * (1 - p))
+
+    def test_blocks_at_odd_k_equal_one_draw(self):
+        g = np.zeros((1500, 45), dtype=np.uint8)  # n = 10
+        whole = apply_iid_flip(g, NoiseModel(0.2), stream(5, 10))
+        rng = stream(5, 10)
+        parts = [apply_iid_flip(g[:1024], NoiseModel(0.2), rng), apply_iid_flip(g[1024:], NoiseModel(0.2), rng)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_frozen_draw(self):
+        # any change to the flip stream's layout, or to the raw PCG64
+        # outputs behind it, shows here
+        out = apply_iid_flip(np.zeros((64, 45), dtype=np.uint8), NoiseModel(0.1), stream(2024, 7))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == FROZEN_DRAW_SHA256
 
     def test_batch_equals_rows(self):
         g = np.random.default_rng(0).integers(0, 2, size=(9, 10), dtype=np.uint8)

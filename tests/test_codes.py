@@ -157,3 +157,19 @@ class TestAsBits:
         with pytest.raises(DimensionError):
             as_bits([[[0, 1]]], batch=True)
         assert as_bits([[0, 1]], batch=True).shape == (1, 2)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([0, -1]), np.array([[1, 0], [0, -3]], dtype=np.int8), np.array([0, 2], dtype=np.uint8),
+        np.array([1, 255], dtype=np.uint8), np.array([0.5, 1.0]), np.array([1, 2**40]),
+    ], ids=["negative-int", "negative-int8", "two-uint8", "255-uint8", "half-float", "large-int"])
+    def test_rejects_values(self, bad):
+        with pytest.raises(ConfigError, match="bits must be 0 or 1"):
+            as_bits(bad, batch=True)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64, np.float64])
+    def test_every_dtype_gives_a_uint8_copy(self, dtype):
+        a = np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype)
+        out = as_bits(a, batch=True)
+        assert out.dtype == np.uint8 and out.tolist() == [[0, 1, 1], [1, 0, 0]]
+        assert not np.shares_memory(out, a)
+        assert as_bits(np.zeros((3, 0), dtype=dtype), batch=True).shape == (3, 0)

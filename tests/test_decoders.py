@@ -686,7 +686,12 @@ def test_bp_beliefs_frozen(case):
     if frozen is None:
         pytest.skip("float64 log/log1p/exp/tanh round here unlike any machine the hashes were taken on")
     graph = (triangle_graph(12), planar_lhz_graph(20))[case // 2]
-    words = _noisy_words(num_logical(graph.n_vars), 0.25, 33, seed=808)
+    # The words come from the flip draw the hashes were taken with (one float64
+    # uniform per bit), not from apply_iid_flip, so they pin message passing only.
+    n = num_logical(graph.n_vars)
+    rng = stream(808, n)
+    true = encode(rng.integers(0, 2, size=(33, n), dtype=np.uint8))
+    words = true ^ (rng.random(true.shape) < 0.25)
     p0 = np.where(words == 0, 0.75, 0.25)
     # Two rounds leave the triangle beliefs short of the clamp, where the sum order shows.
     beliefs, _, _, _ = _bp_batch(graph, p0, words, 2, SCHEDULES[case % 2])

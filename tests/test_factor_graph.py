@@ -235,6 +235,18 @@ class TestFactorGraph:
         with pytest.raises(ConfigError, match=r"check \(2, 3, 2\) touches a variable twice"):
             build([[0, 1]], [[2, 3, 2], [3, 1, 3]])
 
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=12).map(tuple), max_size=12))
+    def test_repeat_names_the_first_check(self, checks):
+        # Weights mixed and interleaved, light (compared column by column) and
+        # heavy (sorted): the first check with a repeat is named, whatever its weight.
+        repeats = [c for c in checks if len(set(c)) < len(c)]
+        if not repeats:
+            assert FactorGraph(12, tuple(checks)).checks == tuple(checks)
+            return
+        with pytest.raises(ConfigError) as exc:
+            FactorGraph(12, tuple(checks))
+        assert str(exc.value) == f"check {repeats[0]} touches a variable twice"
+
 
 class TestHamming:
     def test_rank_and_size(self):

@@ -218,6 +218,15 @@ class TestDrawWords:
         blocks = _draw(_cell(6, 100, seed=4, all_zero=all_zero), 2, block=7)
         assert (whole[0] == blocks[0]).all() and (whole[1] == blocks[1]).all()
 
+    @pytest.mark.parametrize("n", [5, 41])
+    def test_bits_are_the_uniform_draw(self, n):
+        # a raw output below 2^63 gives the bit of a uniform below 1/2, so the
+        # logical words are those of Generator.random() < 0.5 on the same stream
+        cell = _cell(n, 300, seed=12)
+        true, _ = _draw(cell, 1, block=128)
+        bits = _streams(cell, 1)[0].random((300, n)) < 0.5
+        assert true.tobytes() == encode(bits).tobytes()
+
     def test_one_row_per_trial_drawn(self):
         # the benchmark's trace counts trials drawn by the rows of the first item
         rngs = _streams(_cell(), 0)
