@@ -26,7 +26,6 @@ __all__ = ["FactorGraph", "triangle_graph", "planar_lhz_graph"]
 # each costs 4 bytes of int32 entries, and message passing float64 arrays of one entry per trial.
 _MAX_EDGES = 1 << 24
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_PAIRWISE_MAX_WEIGHT = 8  # heavier checks are searched for repeats by sorting each one
 
 
 class FactorGraph:
@@ -35,9 +34,9 @@ class FactorGraph:
     The checks are held as read-only int32 arrays: entries, every check's
     variables back to back, and offsets, n_checks + 1 of them, so check c is
     entries[offsets[c]:offsets[c + 1]]. checks is their tuple view, built on
-    first access. Variable indices past int32 raise CapacityError. Graphs are
-    cache keys (decoders._bp_layout), so the hash is computed once here
-    rather than on every lookup.
+    first access. Variable indices past int32 raise CapacityError. Graphs
+    compare and hash by identity; the built-in constructors cache one graph
+    per n, so caches keyed by graph (decoders._bp_layout) hit across a sweep.
     """
 
     def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
@@ -49,39 +48,21 @@ class FactorGraph:
                 check_count("check variable", v, 0, n_vars - 1)
                 if v > _INT32_MAX:
                     raise CapacityError(f"check variable {v} is past the int32 limit {_INT32_MAX}")
+            if len(set(c)) < len(c):
+                raise ConfigError(f"check {tuple(map(int, c))} touches a variable twice")
         offsets = np.zeros(len(checks) + 1, dtype=np.int32)
         np.cumsum(np.fromiter(map(len, checks), np.int32, len(checks)), out=offsets[1:])
         self._adopt(n_vars, np.fromiter(chain.from_iterable(checks), np.int32, int(offsets[-1])), offsets)
 
     def _adopt(self, n_vars: int, entries: np.ndarray, offsets: np.ndarray) -> None:
-        """Validate int32 entries and offsets as laid out above, make them read-only and keep them."""
-        if entries.dtype != np.int32 or offsets.dtype != np.int32:
-            raise ConfigError("checks must be held as int32 arrays")
-        if entries.size:
-            if entries.min() < 0 or int(entries.max()) >= n_vars:
-                raise ConfigError(f"need check variables in [0, {n_vars - 1}]")
-            c = _first_repeat(entries, offsets)
-            if c is not None:
-                check = tuple(entries[offsets[c] : offsets[c + 1]].tolist())
-                raise ConfigError(f"check {check} touches a variable twice")
+        """Make int32 entries and offsets, laid out as above, read-only and keep them."""
         entries.setflags(write=False)
         offsets.setflags(write=False)
-        for name, value in (("n_vars", n_vars), ("entries", entries), ("offsets", offsets),
-                            ("_hash", hash((n_vars, offsets.tobytes(), entries.tobytes())))):
+        for name, value in (("n_vars", n_vars), ("entries", entries), ("offsets", offsets)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FactorGraph is immutable: cannot set {name}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactorGraph):
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.n_vars == other.n_vars
-                                 and np.array_equal(self.offsets, other.offsets)
-                                 and np.array_equal(self.entries, other.entries))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n_checks(self) -> int:
@@ -94,51 +75,18 @@ class FactorGraph:
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
-def _first_repeat(entries: np.ndarray, offsets: np.ndarray) -> int | None:
-    """The first check that holds a variable twice, or None.
-
-    The checks of each weight w are the rows of an (m, w) array, a view when
-    they sit back to back as in the built-in graphs, and their columns are
-    compared pairwise, or each row sorted once w makes that cheaper.
-    """
-    weights = np.diff(offsets)
-    cuts = (np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist()  # runs of one weight
-    spans = {}
-    for a, b in zip([0, *cuts], [*cuts, weights.size]):
-        spans.setdefault(int(weights[a]), []).append((a, b))
-    first = None
-    for w, runs in spans.items():
-        if w < 2:
-            continue
-        if len(runs) == 1:
-            [(a, b)] = runs
-            sel, rows = range(a, b), entries[offsets[a] : offsets[b]].reshape(-1, w)
-        else:
-            sel = np.flatnonzero(weights == w)
-            rows = entries[offsets[sel][:, None] + np.arange(w, dtype=np.int32)]
-        if w > _PAIRWISE_MAX_WEIGHT:
-            rows = np.sort(rows, axis=1)
-            bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        else:
-            bad = np.zeros(len(rows), dtype=bool)
-            for i in range(w - 1):
-                for j in range(i + 1, w):
-                    bad |= rows[:, i] == rows[:, j]
-        if bad.any():
-            c = int(sel[int(bad.argmax())])
-            first = c if first is None else min(first, c)
-    return first
-
-
 def _stacked(n_vars: int, *blocks: np.ndarray) -> FactorGraph:
     """The graph whose checks are the rows of each 2-D int32 block in turn,
-    built from arrays without going through tuples."""
+    built from arrays without going through tuples or checking them: the
+    built-in constructors' blocks are correct by construction. One
+    C-contiguous block is kept as a flat view, not copied."""
     offsets, top = [np.zeros(1, dtype=np.int32)], 0
     for b in blocks:
         offsets.append(top + b.shape[1] * np.arange(1, len(b) + 1, dtype=np.int32))
         top += b.size
+    entries = blocks[0].ravel() if len(blocks) == 1 else np.concatenate([b.ravel() for b in blocks])
     graph = FactorGraph.__new__(FactorGraph)
-    graph._adopt(n_vars, np.concatenate([b.ravel() for b in blocks]), np.concatenate(offsets))
+    graph._adopt(n_vars, entries, np.concatenate(offsets))
     return graph
 
 

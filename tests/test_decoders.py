@@ -222,12 +222,13 @@ class TestBpAgainstNaive:
 
 
 _MIXED = FactorGraph(6, ((0, 1), (1, 2, 3), (0, 2, 4, 5), (3,), (4, 5)))
+_HAMMING = hamming_7_4()
 
 
 def _codeword(graph, rng):
     """A random codeword: encoded logical bits on the pairwise-parity graphs,
     one of the enumerated codewords on the small fixtures."""
-    if graph in (hamming_7_4(), _MIXED):
+    if graph is _HAMMING or graph is _MIXED:  # graphs compare by identity
         words = sorted(enumerate_codewords(graph))
         return np.array(words[rng.integers(len(words))], dtype=np.uint8)
     return encode(rng.integers(0, 2, num_logical(graph.n_vars), dtype=np.uint8))
@@ -248,7 +249,7 @@ def _assert_matches_oracle(graph, p0, observed, iterations, schedule, label):
 
 
 _SLOT_MAJOR_GRAPHS = (
-    [triangle_graph(n) for n in range(3, 13)] + [planar_lhz_graph(n) for n in range(3, 21)] + [hamming_7_4(), _MIXED]
+    [triangle_graph(n) for n in range(3, 13)] + [planar_lhz_graph(n) for n in range(3, 21)] + [_HAMMING, _MIXED]
 )
 _SLOT_MAJOR_IDS = [f"tri{n}" for n in range(3, 13)] + [f"planar{n}" for n in range(3, 21)] + ["hamming", "mixed"]
 

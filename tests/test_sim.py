@@ -234,6 +234,14 @@ class TestDrawWords:
             true, obs = _draw_words(_cell(), rngs, rows)
             assert true.shape == obs.shape == (rows, 10)
 
+    @pytest.mark.parametrize("all_zero", [False, True])
+    def test_words_are_column_major(self, all_zero):
+        # _majority_batch gathers columns and runs about twice as fast on
+        # column-major words; the bytes would not change if this broke
+        cell = _cell(40, 64, all_zero=all_zero)
+        true, obs = _draw_words(cell, _streams(cell, 0), 64)
+        assert true.flags.f_contiguous and obs.flags.f_contiguous
+
     def test_stream_calls_per_cell_are_constant(self, monkeypatch):
         keys = []
 
