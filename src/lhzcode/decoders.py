@@ -15,6 +15,7 @@ at once as (trials, word) arrays; the Monte Carlo driver uses them directly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -135,9 +136,6 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
 
 # ---------------------------------------------------------- message passing
 
-# Keyed by graph identity: run_cell, the CLI and the bench take each graph
-# from its constructor's per-n cache, so every block of a cell hits.
-@lru_cache(maxsize=None)
 def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
     """The schedule's degree-slot-major partner table, (max_weight - 1,
     max_degree, n_vars): [j, k, v] is the j-th partner of variable v in its
@@ -146,8 +144,8 @@ def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
     being this one (extrinsic). The two indices past the table's variables or
     edges stand for bias 1, which pads short checks, and bias 0, which pads
     the slots of variables in fewer than max_degree checks, whose message is
-    then 0. Each call builds only the table of its schedule, read straight
-    from the graph's int32 arrays; a cell reads only one."""
+    then 0. Each call builds the table of its schedule only, read straight
+    from the graph's int32 arrays; _partners keeps it."""
     nv, nc, var = graph.n_vars, graph.n_checks, graph.entries
     lens = np.diff(graph.offsets)
     # Edge e is position pos[e] of check chk[e] and slot slot[e] of variable
@@ -176,12 +174,23 @@ def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
     return out.reshape(w - 1, d_max, nv)
 
 
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> {schedule: partner table}
+
+
+def _partners(graph: FactorGraph, schedule: str) -> np.ndarray:
+    """graph's partner table for schedule, built on first use; it goes when graph does."""
+    tables = _TABLES.setdefault(graph, {})
+    if schedule not in tables:
+        tables[schedule] = _bp_layout(graph, schedule)
+    return tables[schedule]
+
+
 def _bp_rows(graph: FactorGraph, schedule: str) -> int:
     """Trials per _bp_batch call on graph: _BP_TRIALS, fewer (at least one) where
     a per-edge array would pass _BP_BLOCK_BYTES. It reads the sizes off the
     schedule's own partner table, so no other table gets built. It sizes
     memory, never output."""
-    _, d_max, nv = _bp_layout(graph, schedule).shape
+    _, d_max, nv = _partners(graph, schedule).shape
     return max(1, min(_BP_TRIALS, _BP_BLOCK_BYTES // (8 * d_max * nv)))
 
 
@@ -249,7 +258,7 @@ def _bp_batch(
     neither its batch nor the block size.
     """
     extrinsic = schedule == "extrinsic"
-    partners = _bp_layout(graph, schedule)
+    partners = _partners(graph, schedule)
     _, d_max, nv = partners.shape
     t = p0.shape[0]
     cur = np.array(p0.T, dtype=np.float64, order="C")
@@ -348,7 +357,9 @@ def bp_decode(
 
     priors is the (n_vars, 2) channel belief table. observed supplies the
     tie-breaking word for hard decisions; by default it is the prior's own
-    hard reading (ties there fall to 0).
+    hard reading (ties there fall to 0). A graph's partner table is built on
+    its first decode and kept as long as the graph lives, so reuse one graph
+    object across calls.
 
     Schedules:
       belief     checks read the current posterior beliefs of their other

@@ -12,7 +12,7 @@ pair indices as arrays and hand the arrays over as they are; the tuple view
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -35,8 +35,7 @@ class FactorGraph:
     variables back to back, and offsets, n_checks + 1 of them, so check c is
     entries[offsets[c]:offsets[c + 1]]. checks is their tuple view, built on
     first access. Variable indices past int32 raise CapacityError. Graphs
-    compare and hash by identity; the built-in constructors cache one graph
-    per n, so caches keyed by graph (decoders._bp_layout) hit across a sweep.
+    compare and hash by identity.
     """
 
     def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
@@ -99,16 +98,6 @@ def triangle_graph(n: int) -> FactorGraph:
     """
     check_count("n", n, 2, MAX_N)
     _check_edges("triangle", n, 3 * math.comb(n, 3))
-    return _triangle_graph(n)
-
-
-def _check_edges(kind: str, n: int, edges: int) -> None:
-    if edges > _MAX_EDGES:  # counted in closed form, before anything is built
-        raise CapacityError(f"the {kind} graph at n={n} has {edges} edges, past the {_MAX_EDGES}-edge limit")
-
-
-@lru_cache(maxsize=None)
-def _triangle_graph(n: int) -> FactorGraph:
     # Checks i < j < k in lexicographic order: each pair (i, j), row-major,
     # meets k = j+1..n, where index(i, k) = index(i, j) + m + 1 and
     # index(j, k) = index(j, j+1) + m for m = k - j - 1.
@@ -123,6 +112,11 @@ def _triangle_graph(n: int) -> FactorGraph:
     return _stacked(num_pairs(n), checks)
 
 
+def _check_edges(kind: str, n: int, edges: int) -> None:
+    if edges > _MAX_EDGES:  # counted in closed form, before anything is built
+        raise CapacityError(f"the {kind} graph at n={n} has {edges} edges, past the {_MAX_EDGES}-edge limit")
+
+
 def planar_lhz_graph(n: int) -> FactorGraph:
     """The planar constraint subset: n-2 boundary triangles, then plaquettes.
 
@@ -134,11 +128,6 @@ def planar_lhz_graph(n: int) -> FactorGraph:
     """
     check_count("n", n, 2, MAX_N)
     _check_edges("planar", n, 3 * (n - 2) + 4 * math.comb(n - 2, 2))
-    return _planar_lhz_graph(n)
-
-
-@lru_cache(maxsize=None)
-def _planar_lhz_graph(n: int) -> FactorGraph:
     i = np.arange(1, n - 1, dtype=np.int32)
     boundary = np.stack([_pair_ids(i, i + 1, n), _pair_ids(i, i + 2, n), _pair_ids(i + 1, i + 2, n)], axis=1)
     i, j = (x.astype(np.int32) + 1 for x in np.triu_indices(n - 1, 2))  # 1 <= i, i+2 <= j <= n-1, row-major

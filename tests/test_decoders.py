@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +315,7 @@ def test_belief_schedule_holds_no_per_edge_array():
     # belief schedule now holds blocks of degree slots within _BP_SLOT_BYTES.
     graph = triangle_graph(40)
     observed, priors = _exit_batch(graph, 0.1, t=32)
-    _bp_batch(graph, priors["channel"], observed, 5, "belief")  # builds the cached layout
+    _bp_batch(graph, priors["channel"], observed, 5, "belief")  # builds the partner table the graph keeps
     tracemalloc.start()
     try:
         _bp_batch(graph, priors["channel"], observed, 5, "belief")
@@ -321,6 +323,22 @@ def test_belief_schedule_holds_no_per_edge_array():
     finally:
         tracemalloc.stop()
     assert peak <= 3 << 20
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_dropped_graph_frees_its_table(monkeypatch, schedule):
+    # A partner table lives as long as its graph: once a decoded graph is
+    # dropped, the graph and its table are both collected.
+    layout, tables = lhzcode.decoders._bp_layout, []
+    monkeypatch.setattr(lhzcode.decoders, "_bp_layout", lambda g, s: tables.append(layout(g, s)) or tables[-1])
+    graph = FactorGraph(28, triangle_graph(8).checks)
+    bp_decode(graph, np.tile([0.9, 0.1], (graph.n_vars, 1)), schedule=schedule)
+    bp_decode(graph, np.tile([0.2, 0.8], (graph.n_vars, 1)), schedule=schedule)
+    assert len(tables) == 1
+    refs = weakref.ref(graph), weakref.ref(tables.pop())
+    del graph
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

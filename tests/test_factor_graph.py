@@ -85,8 +85,8 @@ class TestFactorGraph:
     @pytest.mark.parametrize("entry", [15, -1, True, np.True_, 1.0, "1", None, 2**64, np.uint64(2**64 - 1), "twice"])
     def test_bad_entry_deep_in_a_graph(self, entry):
         # One bad entry in the middle of the last check of a 20-check graph on
-        # 15 variables: the array pass must see it wherever it sits, and the
-        # message names its rule.
+        # 15 variables: the constructor's loop over every entry of every check
+        # must reach it, and the message names its rule.
         checks = triangle_graph(6).checks
         twice = isinstance(entry, str) and entry == "twice"
         first, _, last = checks[-1]
@@ -182,24 +182,29 @@ class TestFactorGraph:
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_one_table_per_schedule(self, monkeypatch, schedule):
-        # On a graph not seen before, sizing a batch and decoding it ask only
-        # for the cell's schedule, and the cache builds that one table once.
-        graph = FactorGraph(7, ((0, 1, 2), (2, 3, 4), (4, 5, 6, 0)))
-        layout, asked = lhzcode.decoders._bp_layout, []
+        # Sizing a batch and decoding it build the cell's schedule's table
+        # once per graph; a second decode of the same graph builds nothing,
+        # and an equal but distinct graph gets its own table.
+        layout, built = lhzcode.decoders._bp_layout, []
 
         def spy(g, s):
-            asked.append(s)
+            built.append((g, s))
             return layout(g, s)
 
         monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
-        misses = layout.cache_info().misses
+        checks = ((0, 1, 2), (2, 3, 4), (4, 5, 6, 0))
+        graph, twin = FactorGraph(7, checks), FactorGraph(7, checks)
         rows = _bp_rows(graph, schedule)
         p0 = np.full((rows, graph.n_vars), 0.8)
-        _bp_batch(graph, p0, np.zeros(p0.shape, dtype=np.uint8), 3, schedule)
-        assert asked == [schedule, schedule]
-        assert layout.cache_info().misses == misses + 1
-        table = layout(graph, schedule)
+        observed = np.zeros(p0.shape, dtype=np.uint8)
+        for _ in range(2):
+            _bp_batch(graph, p0, observed, 3, schedule)
+        assert built == [(graph, schedule)]
+        _bp_batch(twin, p0, observed, 3, schedule)
+        assert built == [(graph, schedule), (twin, schedule)]
+        table = lhzcode.decoders._partners(graph, schedule)
         assert isinstance(table, np.ndarray) and table.shape == (3, 2, 7)
+        assert np.array_equal(table, layout(graph, schedule))
 
     @pytest.mark.parametrize("build", [triangle_graph, planar_lhz_graph])
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
@@ -228,11 +233,13 @@ class TestFactorGraph:
                 fg.n_vars = 3
 
     def test_identity(self):
-        # Graphs compare and hash by identity; the built-in constructors hand
-        # out one graph per n, so caches keyed by graph hit across a sweep.
+        # Graphs compare and hash by identity, and each constructor call
+        # builds a new graph with the same arrays.
         a, b = FactorGraph(3, ((0, 1),)), FactorGraph(3, ((0, 1),))
         assert a == a and a != b
-        assert triangle_graph(5) is triangle_graph(5) and planar_lhz_graph(5) is planar_lhz_graph(5)
+        for build in (triangle_graph, planar_lhz_graph):
+            first, second = build(5), build(5)
+            assert first is not second and _same_arrays(first, second)
 
     def test_one_block_is_not_copied(self):
         # triangle's one block of checks is kept as a flat view, planar's two are joined
@@ -241,8 +248,8 @@ class TestFactorGraph:
 
     @given(st.lists(st.lists(st.integers(0, 11), max_size=12).map(tuple), max_size=12))
     def test_repeat_names_the_first_check(self, checks):
-        # Weights mixed and interleaved, light (compared column by column) and
-        # heavy (sorted): the first check with a repeat is named, whatever its weight.
+        # Weights mixed and interleaved: the constructor's loop checks each
+        # check in order, so the first check with a repeat is named, whatever its weight.
         repeats = [c for c in checks if len(set(c)) < len(c)]
         if not repeats:
             assert FactorGraph(12, tuple(checks)).checks == tuple(checks)
@@ -283,7 +290,7 @@ class TestTriangle:
 
     def test_degenerate(self):
         # n = 2 has one pair bit and nothing to check; n = 1 has no pair at all
-        assert triangle_graph(2) is graph_for("triangle", 2)
+        assert _same_arrays(triangle_graph(2), graph_for("triangle", 2))
         assert _same_arrays(triangle_graph(2), FactorGraph(1, ()))
         for build in (triangle_graph, lambda n: graph_for("triangle", n)):
             with pytest.raises(ConfigError):
@@ -332,7 +339,7 @@ class TestPlanar:
 
     def test_degenerate(self):
         # n = 2 has one pair bit and nothing to check; n = 1 has no pair at all
-        assert planar_lhz_graph(2) is graph_for("planar", 2)
+        assert _same_arrays(planar_lhz_graph(2), graph_for("planar", 2))
         assert _same_arrays(planar_lhz_graph(2), FactorGraph(1, ()))
         for build in (planar_lhz_graph, lambda n: graph_for("planar", n)):
             with pytest.raises(ConfigError):
@@ -377,12 +384,23 @@ class TestEdgeLimit:
             build(n)
 
     def test_largest_graphs_pass(self, monkeypatch, build):
-        # triangle n = 300 (13.4M edges) and n = 323 are within the limit; the
-        # cached constructors are stubbed, so nothing this size gets built here
-        monkeypatch.setattr(lhzcode.factor_graph, "_triangle_graph", lambda n: n)
-        monkeypatch.setattr(lhzcode.factor_graph, "_planar_lhz_graph", lambda n: n)
+        # triangle n = 300 (13.4M edges) and n = 323 are within the limit; a
+        # stub stops each call once the limit has passed it, so nothing this
+        # size gets built here
+        check = lhzcode.factor_graph._check_edges
+
+        class Passed(Exception):
+            pass
+
+        def check_then_stop(kind, n, edges):
+            check(kind, n, edges)
+            raise Passed
+
+        monkeypatch.setattr(lhzcode.factor_graph, "_check_edges", check_then_stop)
         largest = 323 if build is triangle_graph else 2898
-        assert build(300) == 300 and build(largest) == largest
+        for n in (300, largest):
+            with pytest.raises(Passed):
+                build(n)
         with pytest.raises(CapacityError):
             build(largest + 1)
 

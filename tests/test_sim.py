@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -331,8 +333,37 @@ class TestRunCell:
             finally:
                 tracemalloc.stop()
 
-        run_cell(60, 0.1, "bp", 1, 1)  # the graph and its tables are cached before either peak
+        run_cell(60, 0.1, "bp", 1, 1)  # first-use costs are paid before either peak
         assert peak(64) <= 1.25 * peak(10)
+
+    def test_cell_graph_dies_with_the_call(self, monkeypatch):
+        # run_cell owns its cell's graph, and with it the partner table
+        build, refs = lhzcode.sim.graph_for, []
+
+        def spy(kind, n):
+            graph = build(kind, n)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(lhzcode.sim, "graph_for", spy)
+        for schedule in SCHEDULES:
+            run_cell(12, 0.1, "bp", 40, 1, schedule=schedule)
+        gc.collect()
+        assert len(refs) == 2 and [r() for r in refs] == [None, None]
+
+    def test_finished_bp_cell_keeps_nothing(self):
+        # After a warm-up cell at another n, a finished triangle n = 59 cell
+        # (an n no other test builds) leaves almost nothing behind; its graph
+        # and partner table alone are about 2 MiB.
+        run_cell(20, 0.1, "bp", 1, 1)
+        tracemalloc.start()
+        try:
+            run_cell(59, 0.1, "bp", 1, 1)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 256 << 10
 
     def test_bp_rows(self, monkeypatch):
         # every message-passing cell of the benchmark keeps 32-trial batches,
