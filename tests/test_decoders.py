@@ -330,13 +330,18 @@ def test_dropped_graph_frees_its_table(monkeypatch, schedule):
     # A partner table lives as long as its graph: once a decoded graph is
     # dropped, the graph and its table are both collected.
     layout, tables = lhzcode.decoders._bp_layout, []
-    monkeypatch.setattr(lhzcode.decoders, "_bp_layout", lambda g, s: tables.append(layout(g, s)) or tables[-1])
+
+    def spy(g, s):
+        tables.append(layout(g, s))
+        return tables[-1]
+
+    monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
     graph = FactorGraph(28, triangle_graph(8).checks)
     bp_decode(graph, np.tile([0.9, 0.1], (graph.n_vars, 1)), schedule=schedule)
-    bp_decode(graph, np.tile([0.2, 0.8], (graph.n_vars, 1)), schedule=schedule)
-    assert len(tables) == 1
-    refs = weakref.ref(graph), weakref.ref(tables.pop())
-    del graph
+    (table,) = tables
+    refs = weakref.ref(graph), weakref.ref(table)
+    del graph, table
+    tables.clear()
     gc.collect()
     assert [r() for r in refs] == [None, None]
 
