@@ -32,9 +32,8 @@ def stream(master_seed: int, *subkeys: int) -> np.random.Generator:
     because SeedSequence zero-pads its entropy, which would otherwise
     alias (s,) with (s, 0). Keys must be nonnegative ints.
     """
-    for k in (master_seed, *subkeys):
-        check_count("stream key", k, 0)
-    key = (int(master_seed), len(subkeys)) + tuple(int(s) for s in subkeys)
+    master_seed, *subkeys = (check_count("stream key", k, 0) for k in (master_seed, *subkeys))
+    key = (master_seed, len(subkeys), *subkeys)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 

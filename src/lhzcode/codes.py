@@ -36,13 +36,13 @@ MAX_N = (1 + math.isqrt(1 + 8 * int(np.iinfo(np.intp).max))) // 2
 
 def num_pairs(n: int) -> int:
     """Number of physical bits for n logical bits."""
-    check_count("n", n, 2)
+    n = check_count("n", n, 2)
     return n * (n - 1) // 2
 
 
 def num_logical(k: int) -> int:
     """Invert k = n(n-1)/2. Raises DimensionError if k is not a pair count."""
-    check_count("k", k, 0)
+    k = check_count("k", k, 0)
     n = (1 + math.isqrt(1 + 8 * k)) // 2
     if n < 2 or num_pairs(n) != k:
         raise DimensionError(f"word length {k} is not n(n-1)/2 for any n >= 2")
@@ -51,8 +51,7 @@ def num_logical(k: int) -> int:
 
 def pair_index(i: int, j: int, n: int) -> int:
     """Linear index of the pair (i, j) with 1 <= i < j <= n."""
-    for name, v in (("i", i), ("j", j), ("n", n)):
-        check_count(name, v)
+    i, j, n = (check_count(name, v) for name, v in (("i", i), ("j", j), ("n", n)))
     if not 1 <= i < j <= n:
         raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     return _pair_ids(i, j, n)
@@ -65,7 +64,7 @@ def _pair_ids(i, j, n):
 
 def index_pair(k: int, n: int) -> tuple[int, int]:
     """Pair (i, j) sitting at linear index k; inverse of pair_index."""
-    check_count("k", k)
+    k, n = check_count("k", k), check_count("n", n, 2)
     if not 0 <= k < num_pairs(n):
         raise InvalidPairError(f"index {k} out of range for n={n} ({num_pairs(n)} pairs)")
     # Row i is the least with (n-i)(n-i+1)/2 above the count of pairs after k.
@@ -75,7 +74,7 @@ def index_pair(k: int, n: int) -> tuple[int, int]:
 
 def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), 1 <= i < j <= n, in linear index order."""
-    check_count("n", n, 2, MAX_N)
+    n = check_count("n", n, 2, MAX_N)
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
@@ -112,17 +111,26 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
 
 def encode(bits) -> np.ndarray:
     """Physical word g with g_ij = b_i xor b_j, in pair index order; a
-    (trials, n) batch of logical words gives their (trials, k) words."""
+    (trials, n) batch of logical words gives their (trials, k) words, in
+    column-major order.
+
+    The bits go in as (n, trials) rows: one outer xor makes every (i, j)
+    row of trials, and one take along axis 0 keeps the k rows with i < j,
+    contiguous, so the batch is their transpose."""
     b = as_bits(bits, batch=True)
-    if b.shape[-1] < 2:
-        raise DimensionError(f"need at least 2 logical bits, got {b.shape[-1]}")
-    iu, ju = _triu(b.shape[-1])
-    return b[..., iu] ^ b[..., ju]
+    n = b.shape[-1]
+    if n < 2:
+        raise DimensionError(f"need at least 2 logical bits, got {n}")
+    iu, ju = _triu(n)
+    bt = np.ascontiguousarray(b.T).reshape(n, -1)
+    outer = np.bitwise_xor(bt[:, None], bt[None, :]).reshape(n * n, -1)
+    g = np.take(outer, iu * n + ju, axis=0)
+    return g.T if b.ndim == 2 else g[:, 0]
 
 
 def consecutive_indices(n: int) -> np.ndarray:
     """Linear indices of the consecutive pairs (1,2), (2,3), ..., (n-1,n)."""
-    check_count("n", n, 2, MAX_N)
+    n = check_count("n", n, 2, MAX_N)
     i = np.arange(1, n, dtype=np.intp)
     return _pair_ids(i, i + 1, n)
 

@@ -3,6 +3,7 @@ entry point checks with: integers, flip probabilities, table choices and
 object types. A broken rule raises ConfigError."""
 
 import numbers
+import operator
 
 
 class LhzError(Exception):
@@ -32,13 +33,17 @@ class InconsistentEvidenceError(LhzError, RuntimeError):
     """All probability mass cancelled during a belief update (conflicting hard evidence)."""
 
 
-def check_count(name: str, value, least=None, most=None) -> None:
+def check_count(name: str, value, least=None, most=None) -> int:
     """The one integer rule: an int or numpy integer, never a bool or a float,
-    and within [least, most] where those are given."""
-    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
-            or (least is not None and value < least) or (most is not None and value > most)):
+    and within [least, most] where those are given. Returns the value as a
+    Python int, which callers compute with: a fixed-width numpy integer would
+    wrap silently in their index arithmetic."""
+    integer = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    number = operator.index(value) if integer else None
+    if number is None or (least is not None and number < least) or (most is not None and number > most):
         limits = " and ".join(f"{op} {b}" for op, b in ((">=", least), ("<=", most)) if b is not None)
         raise ConfigError(f"need an integer {name} {limits}".rstrip() + f", got {value!r}")
+    return number
 
 
 def check_epsilon(epsilon) -> None:

@@ -39,13 +39,12 @@ class FactorGraph:
     """
 
     def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
-        check_count("n_vars", n_vars, 0)
+        n_vars = check_count("n_vars", n_vars, 0)
         check_type("checks", checks, tuple)
         for c in checks:
             check_type("check", c, tuple)
             for v in c:
-                check_count("check variable", v, 0, n_vars - 1)
-                if v > _INT32_MAX:
+                if check_count("check variable", v, 0, n_vars - 1) > _INT32_MAX:
                     raise CapacityError(f"check variable {v} is past the int32 limit {_INT32_MAX}")
             if len(set(c)) < len(c):
                 raise ConfigError(f"check {tuple(map(int, c))} touches a variable twice")
@@ -96,7 +95,7 @@ def triangle_graph(n: int) -> FactorGraph:
     k - n + 1 checks are independent. At n = 2 there are none. Past
     _MAX_EDGES edges it raises CapacityError.
     """
-    check_count("n", n, 2, MAX_N)
+    n = check_count("n", n, 2, MAX_N)
     _check_edges("triangle", n, 3 * math.comb(n, 3))
     # Checks i < j < k in lexicographic order: each pair (i, j), row-major,
     # meets k = j+1..n, where index(i, k) = index(i, j) + m + 1 and
@@ -126,7 +125,7 @@ def planar_lhz_graph(n: int) -> FactorGraph:
     Total k - n + 1 checks, which is exactly the GF(2) rank, so none is
     redundant; at n = 2 that is none. Past _MAX_EDGES edges it raises CapacityError.
     """
-    check_count("n", n, 2, MAX_N)
+    n = check_count("n", n, 2, MAX_N)
     _check_edges("planar", n, 3 * (n - 2) + 4 * math.comb(n - 2, 2))
     i = np.arange(1, n - 1, dtype=np.int32)
     boundary = np.stack([_pair_ids(i, i + 1, n), _pair_ids(i, i + 2, n), _pair_ids(i + 1, i + 2, n)], axis=1)

@@ -10,8 +10,11 @@ decoder id, n, eps index), trial after trial and a fixed count of raw 64-bit
 outputs per trial (n bits, ceil(k/2) for k flips), so results are
 prefix-stable in trials and byte-identical under any block size, cell
 order, or threads.
-run_cell's block loop, the only loop over a cell's trials, takes _DRAW_BLOCK
-trials at a time, or for message passing the batch decoders._bp_rows sizes.
+
+run_cell's block loop is the only loop over a cell's trials, and each block
+is sized by bytes: majority and mle cells take 1024 trials at a time, fewer
+past n = 91 so that a block's raw flip words stay within 16 MiB (_draw_rows);
+message passing takes the batch decoders._bp_rows sizes.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ GRAPH_KINDS = tuple(_GRAPHS)
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
-_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, keeps the raw flip words ~3 MB at n=40
+_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, fewer past n = 91 (_draw_rows)
+_DRAW_BYTES = 16 << 20  # per block's raw flip words: trials * ceil(k/2) * 8, 3.0 MiB at n = 40
 _HALF = np.uint64(1 << 63)  # a raw output below it is a bit of 1, as its uniform (raw >> 11) * 2^-53 < 1/2
 
 
@@ -61,7 +65,7 @@ def chernoff_bound(n: int, epsilon: float) -> float:
     the n-2 indirect votes, each an independent two-bit parity. n runs from
     2 to MAX_N, the array-index limit SimConfig puts on n, so n - 2 fits a float.
     """
-    check_count("n", n, 2, MAX_N)
+    n = check_count("n", n, 2, MAX_N)
     es = epsilon_star(epsilon)
     return math.exp(-2.0 * (n - 2) * (0.5 - es) ** 2)
 
@@ -72,6 +76,7 @@ def union_bound(n: int, epsilon: float) -> float:
 
     Values above 1 are returned as-is; a vacuous bound is still a bound.
     """
+    n = check_count("n", n, 2, MAX_N)
     return chernoff_bound(n, epsilon) * (n - 1)
 
 
@@ -82,6 +87,8 @@ class SimConfig:
     The single place the sweep and cell settings are validated, and the
     one cell spec: run_cell builds a one-cell config, and the fields past
     the three sweep axes are run_cell's settings by name. Raises ConfigError.
+    Integer fields are kept as Python ints, whatever integer type they were
+    given as.
     """
 
     n_values: tuple[int, ...]
@@ -101,19 +108,22 @@ class SimConfig:
             check_type(name, getattr(self, name), tuple)
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty")
-        for n in self.n_values:
-            check_count("n", n, 2, MAX_N)
+        self._set("n_values", tuple(check_count("n", n, 2, MAX_N) for n in self.n_values))
         for e in self.eps_values:
             check_epsilon(e)
         for d in self.decoders:
             check_choice("decoder", d, DECODER_IDS)
-        check_count("trials", self.trials, 1, np.iinfo(np.intp).max // num_pairs(max(self.n_values)))
-        check_count("seed", self.seed, 0)
+        most_trials = np.iinfo(np.intp).max // num_pairs(max(self.n_values))
+        self._set("trials", check_count("trials", self.trials, 1, most_trials))
+        self._set("seed", check_count("seed", self.seed, 0))
         check_choice("graph", self.graph, GRAPH_KINDS)
-        check_count("bp_iterations", self.bp_iterations, 1)
+        self._set("bp_iterations", check_count("bp_iterations", self.bp_iterations, 1))
         check_choice("schedule", self.schedule, SCHEDULES)
         for name in ("include_direct", "all_zero", "shared_noise"):
             check_type(name, getattr(self, name), bool)
+
+    def _set(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)  # the dataclass is frozen
 
 
 @dataclass(frozen=True)
@@ -195,6 +205,13 @@ def _draw_words(cell: SimConfig, rngs: tuple, rows: int) -> tuple[np.ndarray, np
     return true, apply_iid_flip(true, NoiseModel(epsilon), flips_rng)
 
 
+def _draw_rows(n: int) -> int:
+    """Trials per block of a majority or mle cell: _DRAW_BLOCK, fewer (at least
+    one) where the block's raw flip words would pass _DRAW_BYTES, 8 at n = 1000.
+    It sizes memory, never output."""
+    return max(1, min(_DRAW_BLOCK, _DRAW_BYTES // (8 * ((num_pairs(n) + 1) // 2))))
+
+
 def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
     config; message passing runs on graph, the cell's constraint graph."""
@@ -237,9 +254,10 @@ def run_cell(
     """
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
-    check_count("eps_index", eps_index, 0)
+    (n,), trials, seed, bp_iterations = cell.n_values, cell.trials, cell.seed, cell.bp_iterations  # as ints
+    eps_index = check_count("eps_index", eps_index, 0)
     fg = graph_for(graph, n) if decoder == "bp" else None
-    block = _DRAW_BLOCK if fg is None else _bp_rows(fg, schedule)
+    block = _draw_rows(n) if fg is None else _bp_rows(fg, schedule)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
@@ -277,7 +295,7 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     CellError instead of aborting the sweep.
     """
     check_type("config", config, SimConfig)
-    check_count("threads", threads, 1)
+    threads = check_count("threads", threads, 1)
     # Past the three sweep axes, SimConfig's fields are run_cell's keywords.
     settings = {f.name: getattr(config, f.name) for f in fields(SimConfig)[3:]}
     cells = [

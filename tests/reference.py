@@ -194,6 +194,27 @@ def vote_majority(word, n, i, include_direct):
     return obs
 
 
+def majority_batch_int64(words: np.ndarray, n: int, include_direct: bool) -> np.ndarray:
+    """Majority decisions for the consecutive bits of a (trials, k) batch,
+    (trials, n-1), one target at a time: votes counted in int64 and compared
+    as 2 * ones against the total, ties keeping the observed bit."""
+    index = np.zeros((n, n), dtype=np.intp)  # index[i, j] = index[j, i] = zero-based pair index
+    index[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    index += index.T
+    words = np.asarray(words, dtype=np.int64)
+    out = np.empty((len(words), n - 1), dtype=np.uint8)
+    for i in range(n - 1):
+        others = [k for k in range(n) if k not in (i, i + 1)]
+        ones = (words[:, index[i, others]] ^ words[:, index[i + 1, others]]).sum(axis=1)
+        observed = words[:, index[i, i + 1]]
+        total = n - 2
+        if include_direct:
+            ones = ones + observed
+            total += 1
+        out[:, i] = np.where(2 * ones > total, 1, np.where(2 * ones < total, 0, observed))
+    return out
+
+
 def exact_majority_pair_fail(n, eps, include_direct=False):
     """Exact failure probability of one majority-decoded consecutive bit.
 

@@ -100,6 +100,24 @@ class TestEncode:
             assert g[k] == b[i - 1] ^ b[j - 1]
 
 
+    @pytest.mark.parametrize("n", range(2, 42))
+    def test_batches_match_the_pair_definition(self, n):
+        # g_ij = b_i xor b_j pair by pair, for empty, small and 1024-row batches
+        # and one word; batches come back column-major, the order
+        # _majority_batch gathers columns from fastest
+        i, j = (np.array(side) - 1 for side in zip(*pair_table(n)))
+        rng = np.random.default_rng(n)
+        for rows in (0, 1, 7, 1024):
+            b = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+            g = encode(b)
+            assert g.shape == (rows, num_pairs(n)) and g.dtype == np.uint8 and g.flags.f_contiguous
+            assert np.array_equal(g, b[:, i] ^ b[:, j])
+        word = rng.integers(0, 2, size=n, dtype=np.uint8)
+        g = encode(word)
+        assert g.shape == (num_pairs(n),) and g.dtype == np.uint8
+        assert np.array_equal(g, word[i] ^ word[j])
+
+
 class TestReadout:
     @given(bit_words)
     def test_gauge_fixed_inverse(self, bits):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import lhzcode
 from lhzcode import LhzError, NoiseModel, SimConfig, triangle_graph
 from lhzcode.cli import main
+from lhzcode.sim import graph_for
 
 WORD = [0, 1, 1]  # a valid n = 3 physical word
 FRESH_RNG = object()  # stands for a new generator in each call
@@ -178,3 +179,40 @@ def test_cli_exits_0_1_or_2(argv):
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error")
         assert main(argv) in (0, 1, 2)
+
+
+# Every entry point that takes an integer, given each one as a fixed-width
+# numpy integer. The values fit int8, int16 and uint8 alike, but arithmetic
+# in their own width would wrap: n = 100 has 4950 pairs, pair (50, 100) of
+# n = 120 is index 4704, and 127 rounds end at round 128.
+def _graph(graph):
+    return graph.n_vars, graph.entries.tobytes(), graph.offsets.tobytes()
+
+
+FIXED_WIDTH = {
+    "num_pairs": lambda t: lhzcode.num_pairs(t(100)),
+    "num_logical": lambda t: lhzcode.num_logical(t(120)),
+    "pair_index": lambda t: lhzcode.pair_index(t(50), t(100), t(120)),
+    "index_pair": lambda t: lhzcode.index_pair(t(120), t(100)),
+    "pair_table": lambda t: lhzcode.pair_table(t(100))[-3:],
+    "consecutive_indices": lambda t: lhzcode.consecutive_indices(t(100)).tolist(),
+    "graph_for triangle": lambda t: _graph(graph_for("triangle", t(100))),
+    "graph_for planar": lambda t: _graph(graph_for("planar", t(120))),
+    "FactorGraph": lambda t: _graph(lhzcode.FactorGraph(t(100), ((t(0), t(99), t(50)),))),
+    "stream": lambda t: lhzcode.stream(t(100), t(120)).random(3).tolist(),
+    "chernoff_bound": lambda t: lhzcode.chernoff_bound(t(100), 0.1),
+    "union_bound": lambda t: lhzcode.union_bound(t(100), 0.1),
+    "SimConfig": lambda t: SimConfig((t(100), t(120)), (0.1,), trials=t(100), seed=t(7), bp_iterations=t(127)),
+    "run_cell majority": lambda t: lhzcode.run_cell(t(100), 0.1, "majority", t(20), t(1), eps_index=t(120)),
+    "run_cell bp": lambda t: lhzcode.run_cell(t(12), 0.3, "bp", t(20), t(1), bp_iterations=t(127)),
+    "run_sweep": lambda t: lhzcode.run_sweep(SimConfig((t(100),), (0.1,), ("majority",), t(20), t(1)), t(1)),
+    "bp_decode": lambda t: lhzcode.bp_decode(triangle_graph(t(4)), np.full((6, 2), 0.5), t(127)).iterations,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+@pytest.mark.parametrize("name", FIXED_WIDTH)
+def test_fixed_width_integers_give_the_plain_int_result(name, dtype):
+    # repr tells a Python int from a numpy integer of the same value (numpy 2)
+    got, want = FIXED_WIDTH[name](dtype), FIXED_WIDTH[name](int)
+    assert got == want and repr(got) == repr(want)

@@ -29,6 +29,7 @@ from lhzcode import (
     majority_vote_decode,
     mle_decode,
     num_logical,
+    num_pairs,
     pair_index,
     stream,
     triangle_graph,
@@ -43,6 +44,7 @@ from reference import (
     exact_marginals,
     hamming_7_4,
     logical_readout,
+    majority_batch_int64,
     mle_batch_distance,
     naive_belief_bp,
     naive_extrinsic_bp,
@@ -774,6 +776,26 @@ class TestMajority:
             assert (dec[t] == majority_vote_decode(words[t]).consecutive).all()
 
 
+    @pytest.mark.parametrize("include_direct", [False, True])
+    @pytest.mark.parametrize("n", [254, 255, 256, 257])
+    def test_counts_at_the_counter_width(self, n, include_direct):
+        # Votes are counted in uint8 through n = 255, where n - 1 of them (the
+        # direct bit included) reach 254, and in uint16 from n = 256. The words:
+        # all ones (every vote 0, every direct bit 1, so 0 wins); the codeword
+        # of alternating bits, whose every vote counts as a one, with and
+        # without its direct bits flipped; and noisy words near a tie.
+        rng = np.random.default_rng(n)
+        k = num_pairs(n)
+        alternating = encode(np.arange(n) % 2)
+        flipped = alternating.copy()
+        flipped[consecutive_indices(n)] ^= 1
+        words = np.vstack([np.ones(k, dtype=np.uint8), alternating, flipped,
+                           encode(rng.integers(0, 2, size=(5, n))) ^ (rng.random((5, k)) < 0.45)])
+        got = _majority_batch(np.asfortranarray(words), n, include_direct)
+        assert got.dtype == np.uint8 and np.array_equal(got, majority_batch_int64(words, n, include_direct))
+        assert got[1:3].all() and not got[0].any()
+
+
 class TestMle:
     def test_n3_exhaustive(self):
         for bits in itertools.product((0, 1), repeat=3):
@@ -893,7 +915,8 @@ class TestMleAgainstDistance:
         blocks = []
 
         class Spy:
-            """numpy, with the shape of each score block (out= of np.matmul) recorded."""
+            """numpy, with the shape of each (trials, high rows, low columns) score
+            block, the out= of the batched np.matmul, recorded."""
 
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -907,11 +930,11 @@ class TestMleAgainstDistance:
         assert np.array_equal(_mle_batch(words, n), want)
         # trial blocks outside, high-row blocks inside, every candidate of every trial once
         t = len(words)
-        expected = [(min(t_rows, t - t0) * min(a_rows, rows - a0), cols)
+        expected = [(min(t_rows, t - t0), min(a_rows, rows - a0), cols)
                     for t0 in range(0, t, t_rows) for a0 in range(0, rows, a_rows)]
         assert len(blocks) > 1 and blocks == expected
-        assert sum(r * c for r, c in blocks) == t << (n - 1)
-        assert all(4 * r * c <= max(budget, 4 * cols) for r, c in blocks)
+        assert sum(r * a * c for r, a, c in blocks) == t << (n - 1)
+        assert all(4 * r * a * c <= max(budget, 4 * cols) for r, a, c in blocks)
 
     @pytest.mark.parametrize("trials", [1, 1000])
     def test_batch_sizes(self, trials):

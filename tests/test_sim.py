@@ -28,6 +28,7 @@ from lhzcode import (
     epsilon_star,
     majority_vote_decode,
     mle_decode,
+    num_pairs,
     pair_index,
     pair_table,
     planar_lhz_graph,
@@ -238,7 +239,7 @@ class TestDrawWords:
 
     @pytest.mark.parametrize("all_zero", [False, True])
     def test_words_are_column_major(self, all_zero):
-        # _majority_batch gathers columns and runs about twice as fast on
+        # _majority_batch gathers columns and runs about four times as fast on
         # column-major words; the bytes would not change if this broke
         cell = _cell(40, 64, all_zero=all_zero)
         true, obs = _draw_words(cell, _streams(cell, 0), 64)
@@ -296,7 +297,9 @@ class TestRunCell:
         ("bp", "planar", "extrinsic", 8),
     ])
     def test_block_rows_change_nothing(self, monkeypatch, decoder, graph, schedule, n, rows):
-        # one block loop serves every decoder; its size changes no result
+        # one block loop serves every decoder; its size changes no result. A
+        # one-byte slot budget makes belief batches _BP_TRIALS rows, as
+        # extrinsic ones are, and runs each round one degree slot at a time.
         def cell():
             r = run_cell(n, 0.15, decoder, 100, 5, graph=graph, schedule=schedule)
             return r, r.pair_failures
@@ -307,8 +310,28 @@ class TestRunCell:
         monkeypatch.setattr(lhzcode.sim, "_draw_words", lambda c, rngs, k: drawn.append(k) or draw(c, rngs, k))
         monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", rows)
         monkeypatch.setattr(lhzcode.decoders, "_BP_TRIALS", rows)
+        monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 1)
         assert cell() == whole
         assert drawn == [rows] * (100 // rows) + [100 % rows] * (100 % rows > 0)
+
+    @pytest.mark.parametrize("decoder,n,trials,rows", [
+        ("majority", 40, 2049, 1024),
+        ("mle", 12, 1025, 1024),
+        ("majority", 91, 1025, 1024),
+        ("majority", 92, 1003, 1001),
+        ("majority", 1000, 17, 8),
+    ])
+    def test_draw_rows_are_sized_by_bytes(self, monkeypatch, decoder, n, trials, rows):
+        # majority and mle blocks are _DRAW_BLOCK trials through n = 91, then
+        # as many as keep the raw flip words, ceil(k/2) outputs of 8 bytes a
+        # trial, within 16 MiB: 8 at n = 1000, where 1024 trials took 1.9 GiB
+        drawn = []
+        draw = lhzcode.sim._draw_words
+        monkeypatch.setattr(lhzcode.sim, "_draw_words", lambda c, rngs, k: drawn.append(k) or draw(c, rngs, k))
+        run_cell(n, 0.1, decoder, trials, 1)
+        assert drawn == [rows] * (trials // rows) + [trials % rows] * (trials % rows > 0)
+        raw = 8 * ((num_pairs(n) + 1) // 2)
+        assert rows == _DRAW_BLOCK or rows * raw <= 16 << 20 < (rows + 1) * raw
 
     def test_memory_does_not_grow_with_trials(self):
         # a cell keeps one block of trials at a time, however many it runs
@@ -366,12 +389,26 @@ class TestRunCell:
         assert kept < 256 << 10
 
     def test_bp_rows(self, monkeypatch):
-        # every message-passing cell of the benchmark keeps 32-trial batches,
-        # sized alike from either schedule's table
+        # Extrinsic batches are 32 trials in every message-passing cell of the
+        # benchmark. Belief batches hold no per-edge array: they keep one
+        # (n_vars, trials) float64 block within 256 KiB, 32 trials at least,
+        # so the 200-trial cells at triangle n = 12-16 run in one batch. Both
+        # are cut where a per-edge array would pass 8 MiB: triangle n = 40 has
+        # 38 slots of 780 variables, n = 60 58 slots of 1770.
+        cells = [("triangle", 2), ("triangle", 10), ("triangle", 12), ("triangle", 16), ("triangle", 40),
+                 ("planar", 40)]
+        for graph, n in cells:
+            assert _bp_rows(graph_for(graph, n), "extrinsic") == 32
+        def slot(n_vars):
+            return (256 << 10) // (8 * n_vars)
+
+        belief = [slot(1), slot(45), slot(66), slot(120), (8 << 20) // (8 * 38 * 780), slot(780)]
+        assert belief == [32768, 728, 496, 273, 35, 42]
+        assert [_bp_rows(graph_for(graph, n), "belief") for graph, n in cells] == belief
         for schedule in SCHEDULES:
-            for graph, n in [("triangle", 2), ("triangle", 10), ("triangle", 40), ("planar", 40)]:
-                assert _bp_rows(graph_for(graph, n), schedule) == 32
             assert _bp_rows(graph_for("triangle", 60), schedule) == 8 * 2**20 // (8 * 58 * 1770) == 10
+        monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 1)
+        assert _bp_rows(graph_for("triangle", 10), "belief") == 32
         monkeypatch.setattr(lhzcode.decoders, "_BP_BLOCK_BYTES", 1)
         assert _bp_rows(graph_for("triangle", 10), "belief") == 1
 
