@@ -99,7 +99,6 @@ class TestEncode:
             i, j = index_pair(k, b.size)
             assert g[k] == b[i - 1] ^ b[j - 1]
 
-
     @pytest.mark.parametrize("n", range(2, 42))
     def test_batches_match_the_pair_definition(self, n):
         # g_ij = b_i xor b_j pair by pair, for empty, small and 1024-row batches

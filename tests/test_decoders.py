@@ -775,7 +775,6 @@ class TestMajority:
         for t in range(50):
             assert (dec[t] == majority_vote_decode(words[t]).consecutive).all()
 
-
     @pytest.mark.parametrize("include_direct", [False, True])
     @pytest.mark.parametrize("n", [254, 255, 256, 257])
     def test_counts_at_the_counter_width(self, n, include_direct):

@@ -399,12 +399,10 @@ class TestRunCell:
                  ("planar", 40)]
         for graph, n in cells:
             assert _bp_rows(graph_for(graph, n), "extrinsic") == 32
-        def slot(n_vars):
-            return (256 << 10) // (8 * n_vars)
-
-        belief = [slot(1), slot(45), slot(66), slot(120), (8 << 20) // (8 * 38 * 780), slot(780)]
-        assert belief == [32768, 728, 496, 273, 35, 42]
-        assert [_bp_rows(graph_for(graph, n), "belief") for graph, n in cells] == belief
+        # 256 KiB over 8 bytes a variable, for 1, 45, 66, 120 and 780 variables
+        assert [(256 << 10) // (8 * v) for v in (1, 45, 66, 120, 780)] == [32768, 728, 496, 273, 42]
+        assert (8 << 20) // (8 * 38 * 780) == 35
+        assert [_bp_rows(graph_for(graph, n), "belief") for graph, n in cells] == [32768, 728, 496, 273, 35, 42]
         for schedule in SCHEDULES:
             assert _bp_rows(graph_for("triangle", 60), schedule) == 8 * 2**20 // (8 * 58 * 1770) == 10
         monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 1)
