@@ -12,7 +12,6 @@ complement encode the same word), so logical readout fixes the gauge b_1 = 0.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,14 +77,6 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(n, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
 def as_bits(seq, *, batch: bool = False) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1, or with batch=True also to a 2-D
     (rows, bits) one. Accepts strings like "0110"."""
@@ -121,10 +112,9 @@ def encode(bits) -> np.ndarray:
     n = b.shape[-1]
     if n < 2:
         raise DimensionError(f"need at least 2 logical bits, got {n}")
-    iu, ju = _triu(n)
     bt = np.ascontiguousarray(b.T).reshape(n, -1)
     outer = np.bitwise_xor(bt[:, None], bt[None, :]).reshape(n * n, -1)
-    g = np.take(outer, iu * n + ju, axis=0)
+    g = np.take(outer, np.flatnonzero(np.arange(n)[:, None] < np.arange(n)), axis=0)
     return g.T if b.ndim == 2 else g[:, 0]
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from .channel import NoiseModel
 from .codes import (
     _pair_ids,
-    _triu,
     as_bits,
     consecutive_indices,
     encode,
@@ -86,10 +84,11 @@ def epsilon_star(epsilon: float) -> float:
 
 # ---------------------------------------------------------------- majority
 
-@lru_cache(maxsize=None)
 def _vote_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (A, B), shape (n-1, n-2): vote k for target (i, i+1) is
-    word[A] xor word[B] with A = index(i,k), B = index(i+1,k)."""
+    word[A] xor word[B] with A = index(i,k), B = index(i+1,k). Nothing keeps
+    them: sim.run_cell builds them once per majority cell, 0.1 ms and 24 kB
+    at n = 40, about 50 ms and 16 MB at n = 1000."""
     i = np.arange(1, n, dtype=np.intp)[:, None]
     k = np.arange(1, n - 1, dtype=np.intp)
     k = k + 2 * (k >= i)  # the n-2 k outside (i, i+1), ascending
@@ -101,8 +100,9 @@ def _vote_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarray:
-    """Majority decisions for the consecutive bits, (trials, n-1).
+def _majority_batch(words: np.ndarray, n: int, include_direct: bool, votes: tuple) -> np.ndarray:
+    """Majority decisions for the consecutive bits, (trials, n-1); votes is
+    _vote_index_arrays(n).
 
     Votes are counted in the smallest unsigned type that holds n, uint8 up to
     n = 255: a one wins when ones > total // 2 and a zero when
@@ -113,7 +113,7 @@ def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarr
     run about four times as fast as a row-major copy: 0.75 against 3.3 ms at
     n=40 and 1024 trials (timeit, best of 10, numpy 2.4.6)."""
     observed = words[:, consecutive_indices(n)]
-    a, b = _vote_index_arrays(n)
+    a, b = votes
     ones = (words[:, a] ^ words[:, b]).sum(axis=2, dtype=np.min_scalar_type(n))
     total = n - 2
     if include_direct:
@@ -135,7 +135,7 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
     check_type("include_direct", include_direct, bool)
     g = as_bits(g_obs)
     n = num_logical(g.size)
-    cons = _majority_batch(g[None, :], n, include_direct)[0]
+    cons = _majority_batch(g[None, :], n, include_direct, _vote_index_arrays(n))[0]
     word = encode(logical_from_consecutive(cons))
     return DecodeOutcome(consecutive=cons, word=word, beliefs=None, iterations=0, converged=True)
 
@@ -369,7 +369,7 @@ def bp_decode(
     tie-breaking word for hard decisions; by default it is the prior's own
     hard reading (ties there fall to 0). A graph's partner table is built on
     its first decode and kept as long as the graph lives, so reuse one graph
-    object across calls.
+    object across calls; sim.graph_for returns the one a caller still holds.
 
     Schedules:
       belief     checks read the current posterior beliefs of their other
@@ -463,11 +463,11 @@ def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
     # Spin tables: high rows a (s_1 = +1), low columns l.
     s_hi = _spins(_counter_bits(np.arange(rows, dtype=np.int64), m))
     s_lo = _spins(_counter_bits(np.arange(cols, dtype=np.int64), d + 1)[:, 1:])
-    hi_pairs, lo_pairs = _triu(m), _triu(d)
+    hi_pairs, lo_pairs = np.triu_indices(m, 1), np.triu_indices(d, 1)
     p_hi = s_hi[:, hi_pairs[0]] * s_hi[:, hi_pairs[1]]
     p_lo = s_lo[:, lo_pairs[0]] * s_lo[:, lo_pairs[1]]
     # Pair index sets of the word, each in the row-major order of its part.
-    iu, ju = _triu(n)
+    iu, ju = np.triu_indices(n, 1)
     hi_idx, lo_idx = np.flatnonzero(ju < m), np.flatnonzero(iu >= m)
     cross_idx = np.flatnonzero((iu < m) & (ju >= m))  # row i holds (i, m..n-1) in order
     budget = _MLE_BLOCK_BYTES // 4

@@ -15,12 +15,17 @@ run_cell's block loop is the only loop over a cell's trials, and each block
 is sized by bytes: majority and mle cells take 1024 trials at a time, fewer
 past n = 91 so that a block's raw flip words stay within 16 MiB (_draw_rows);
 message passing takes the batch decoders._bp_rows sizes.
+
+run_sweep runs one (decoder, n) group at a time on each worker, and a bp
+group holds its graph while its eps cells run, so graph_for hands each cell
+that graph and its partner table. No table outlives its last user.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .channel import NoiseModel, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
-from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, epsilon_star
+from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, _vote_index_arrays, epsilon_star
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
@@ -50,6 +55,7 @@ __all__ = [
 DECODER_IDS = {"majority": 1, "bp": 2, "mle": 3}
 _GRAPHS = {"triangle": triangle_graph, "planar": planar_lhz_graph}
 GRAPH_KINDS = tuple(_GRAPHS)
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (kind, n) -> the graph someone holds
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
@@ -176,11 +182,15 @@ class SweepResult:
 
 
 def graph_for(kind: str, n: int) -> FactorGraph:
-    """The constraint graph message passing runs on for a kind and size. At
-    n = 2 it has one variable and no checks, so message passing reads the
-    channel prior, which is the right answer."""
+    """The constraint graph message passing runs on for a kind and size: the
+    one some caller still holds for (kind, n), with the partner tables its
+    decodes built, or else a new one. At n = 2 it has one variable and no
+    checks, so message passing reads the channel prior, which is the right
+    answer."""
     check_choice("graph", kind, _GRAPHS)
-    return _GRAPHS[kind](n)
+    key = (kind, check_count("n", n, 2, MAX_N))
+    # Threads that miss at once may each build one; their graphs decode alike.
+    return _LIVE.get(key) or _LIVE.setdefault(key, _GRAPHS[kind](key[1]))
 
 
 def _streams(cell: SimConfig, eps_index: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -212,17 +222,17 @@ def _draw_rows(n: int) -> int:
     return max(1, min(_DRAW_BLOCK, _DRAW_BYTES // (8 * ((num_pairs(n) + 1) // 2))))
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None) -> np.ndarray:
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig, table: FactorGraph | tuple | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config; message passing runs on graph, the cell's constraint graph."""
+    config; table is the cell's vote index pairs (majority) or graph (bp)."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
-        return _majority_batch(obs, n, cell.include_direct)
+        return _majority_batch(obs, n, cell.include_direct, table)
     if decoder == "mle":
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
     p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
-    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
+    _, hard, _, _ = _bp_batch(table, p0, obs, cell.bp_iterations, cell.schedule)
     return hard[:, consecutive_indices(n)]
 
 
@@ -256,14 +266,14 @@ def run_cell(
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     (n,), trials, seed, bp_iterations = cell.n_values, cell.trials, cell.seed, cell.bp_iterations  # as ints
     eps_index = check_count("eps_index", eps_index, 0)
-    fg = graph_for(graph, n) if decoder == "bp" else None
-    block = _draw_rows(n) if fg is None else _bp_rows(fg, schedule)
+    table = graph_for(graph, n) if decoder == "bp" else _vote_index_arrays(n) if decoder == "majority" else None
+    block = _bp_rows(table, schedule) if decoder == "bp" else _draw_rows(n)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
         true, obs = _draw_words(cell, rngs, min(block, trials - lo))
         true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell, fg)
+        decoded = _decode_consecutive(obs, cell, table)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials
@@ -288,36 +298,36 @@ def run_cell(
 def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     """Run every cell of the sweep, in (decoder, n, epsilon) row order.
 
-    Cells are independent, so they may be farmed out to worker threads,
-    at most one per cell and per CPU; results are collected back in the
-    deterministic row order either way.
+    Each (decoder, n) group runs its eps cells in row order on one worker. A
+    bp group holds its constraint graph until it returns, so the graph and its
+    partner table are built once per group, and a worker holds one group's
+    graph at a time. Groups are independent, so they may be farmed out to
+    worker threads, at most one per group and per CPU; results are collected
+    back in the deterministic row order either way.
     A cell refused on capacity grounds (search or graph size) yields a
-    CellError instead of aborting the sweep.
+    CellError instead of aborting the sweep. Those limits depend on the
+    decoder and n alone, so a refusal covers each eps cell of its group.
     """
     check_type("config", config, SimConfig)
     threads = check_count("threads", threads, 1)
     # Past the three sweep axes, SimConfig's fields are run_cell's keywords.
     settings = {f.name: getattr(config, f.name) for f in fields(SimConfig)[3:]}
-    cells = [
-        (dec, n, ei, eps)
-        for dec in config.decoders
-        for n in config.n_values
-        for ei, eps in enumerate(config.eps_values)
-    ]
+    groups = [(dec, n) for dec in config.decoders for n in config.n_values]
 
-    def one(cell):
-        dec, n, ei, eps = cell
+    def run_group(group):
+        dec, n = group
         try:
-            return run_cell(n, eps, dec, eps_index=ei, **settings)
+            graph = graph_for(config.graph, n) if dec == "bp" else None  # each cell's graph_for returns it
+            return [run_cell(n, eps, dec, eps_index=ei, **settings) for ei, eps in enumerate(config.eps_values)]
         except CapacityError as exc:
-            return CellError(decoder=dec, n=n, epsilon=eps, message=str(exc))
+            return [CellError(decoder=dec, n=n, epsilon=eps, message=str(exc)) for eps in config.eps_values]
 
-    workers = min(threads, len(cells), os.cpu_count() or 1) if threads > 1 else 1
+    workers = min(threads, len(groups), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, cells))
+            outcomes = [o for group in pool.map(run_group, groups) for o in group]
     else:
-        outcomes = [one(c) for c in cells]
+        outcomes = [o for group in groups for o in run_group(group)]
     rows = tuple(o for o in outcomes if isinstance(o, SimResult))
     errors = tuple(o for o in outcomes if isinstance(o, CellError))
     return SweepResult(rows=rows, errors=errors)

@@ -36,7 +36,7 @@ from lhzcode import (
     planar_lhz_graph,
 )
 import lhzcode.decoders
-from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch
+from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch, _vote_index_arrays
 
 from reference import (
     consecutive_bits,
@@ -771,7 +771,7 @@ class TestMajority:
     def test_batch_matches_single(self):
         rng = stream(88)
         words = rng.integers(0, 2, size=(50, 10), dtype=np.uint8)
-        dec = _majority_batch(words, 5, False)
+        dec = _majority_batch(words, 5, False, _vote_index_arrays(5))
         for t in range(50):
             assert (dec[t] == majority_vote_decode(words[t]).consecutive).all()
 
@@ -790,7 +790,7 @@ class TestMajority:
         flipped[consecutive_indices(n)] ^= 1
         words = np.vstack([np.ones(k, dtype=np.uint8), alternating, flipped,
                            encode(rng.integers(0, 2, size=(5, n))) ^ (rng.random((5, k)) < 0.45)])
-        got = _majority_batch(np.asfortranarray(words), n, include_direct)
+        got = _majority_batch(np.asfortranarray(words), n, include_direct, _vote_index_arrays(n))
         assert got.dtype == np.uint8 and np.array_equal(got, majority_batch_int64(words, n, include_direct))
         assert got[1:3].all() and not got[0].any()
 

@@ -39,7 +39,7 @@ from lhzcode import (
     union_bound,
 )
 from lhzcode.decoders import SCHEDULES, _bp_rows
-from lhzcode.sim import _DRAW_BLOCK, _draw_words, _streams, graph_for
+from lhzcode.sim import _DRAW_BLOCK, DECODER_IDS, _draw_words, _streams, graph_for
 
 from reference import exact_majority_pair_fail, syndrome
 
@@ -375,13 +375,18 @@ class TestRunCell:
         assert len(refs) == 2 and [r() for r in refs] == [None, None]
 
     def test_finished_bp_cell_keeps_nothing(self):
-        # After a warm-up cell at another n, a finished triangle n = 59 cell
-        # (an n no other test builds) leaves almost nothing behind; its graph
-        # and partner table alone are about 2 MiB.
-        run_cell(20, 0.1, "bp", 1, 1)
+        # After warm-up cells at other n, finished cells at an n no other test
+        # runs leave almost nothing behind: a triangle n = 59 bp cell, whose
+        # graph and partner table alone are about 2 MiB, a majority cell at
+        # n = 300, whose vote table and upper-triangle pair indices alone are
+        # about 2 MiB, and an mle cell at n = 13.
+        for decoder in DECODER_IDS:
+            run_cell(9, 0.1, decoder, 1, 1)
         tracemalloc.start()
         try:
             run_cell(59, 0.1, "bp", 1, 1)
+            run_cell(300, 0.1, "majority", 1, 1)
+            run_cell(13, 0.1, "mle", 1, 1)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
         finally:
@@ -545,25 +550,60 @@ class TestRunSweep:
             map = staticmethod(map)
 
         monkeypatch.setattr(lhzcode.sim, "ThreadPoolExecutor", Recorder)
-        cfg = SimConfig(n_values=(3, 4, 5), eps_values=(0.1,), decoders=("majority",), trials=10, seed=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # six cells in three (decoder, n) groups: one worker per group at most
+        cfg = SimConfig(n_values=(3, 4, 5), eps_values=(0.1, 0.2), decoders=("majority",), trials=10, seed=2)
         assert run_sweep(cfg, threads=10**6) == run_sweep(cfg)
-        assert all(s <= min(3, os.cpu_count() or 1) for s in sizes)
+        assert sizes == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_sweep(cfg, threads=10**6)
+        assert sizes == [3, 2]
         with pytest.raises(ConfigError):
             run_sweep(cfg, threads=0)
 
     def test_capacity_errors_collected(self):
-        cfg = SimConfig(n_values=(4, 30), eps_values=(0.1,), decoders=("mle",), trials=20, seed=1)
+        # Each refused (decoder, n) group yields one CellError per eps cell, in
+        # row order, with the text the lone cell raises.
+        from lhzcode import CapacityError
+
+        def refusal(n, decoder):
+            with pytest.raises(CapacityError) as refused:
+                run_cell(n, 0.1, decoder, 20, 1)
+            return str(refused.value)
+
+        cfg = SimConfig(n_values=(4, 30), eps_values=(0.1, 0.2), decoders=("mle",), trials=20, seed=1)
         sweep = run_sweep(cfg)
-        assert len(sweep.rows) == 1 and sweep.rows[0].n == 4
-        assert len(sweep.errors) == 1
-        err = sweep.errors[0]
-        assert isinstance(err, CellError)
-        assert (err.decoder, err.n, err.epsilon) == ("mle", 30, 0.1)
-        assert "n=30" in err.message
-        # an oversized constraint graph is one more refused cell
-        sweep = run_sweep(SimConfig((4, 1000), (0.1,), ("bp",), trials=20, seed=1))
-        assert [r.n for r in sweep.rows] == [4]
-        assert [(e.decoder, e.n) for e in sweep.errors] == [("bp", 1000)]
+        assert [(r.n, r.epsilon) for r in sweep.rows] == [(4, 0.1), (4, 0.2)]
+        text = refusal(30, "mle")
+        assert "n=30" in text
+        assert sweep.errors == (CellError("mle", 30, 0.1, text), CellError("mle", 30, 0.2, text))
+        # an oversized constraint graph refuses its group the same way, past
+        # the edge limit at triangle n = 324 as far past it as n = 1000
+        sweep = run_sweep(SimConfig((4, 324, 1000), (0.1, 0.2), ("bp",), trials=20, seed=1))
+        assert [(r.n, r.epsilon) for r in sweep.rows] == [(4, 0.1), (4, 0.2)]
+        texts = [refusal(324, "bp"), refusal(1000, "bp")]
+        assert texts[0] == "the triangle graph at n=324 has 16848972 edges, past the 16777216-edge limit"
+        assert sweep.errors == tuple(CellError("bp", n, eps, t) for n, t in zip((324, 1000), texts) for eps in (0.1, 0.2))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_one_partner_table_per_group(self, monkeypatch, schedule, threads):
+        # A bp group holds its graph while its eps cells run, so each cell's
+        # graph_for returns it and the partner table is built once per n.
+        cfg = SimConfig((7, 11), (0.05, 0.1, 0.2), ("bp",), trials=40, seed=5, schedule=schedule)
+        loop = [run_cell(n, eps, "bp", 40, 5, eps_index=ei, schedule=schedule)
+                for n in cfg.n_values for ei, eps in enumerate(cfg.eps_values)]
+        layout, built = lhzcode.decoders._bp_layout, []
+
+        def spy(graph, schedule):
+            built.append((graph.n_vars, schedule))
+            return layout(graph, schedule)
+
+        monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
+        sweep = run_sweep(cfg, threads=threads)
+        assert sorted(built) == [(21, schedule), (55, schedule)]
+        assert sweep.rows == tuple(loop) and sweep.errors == ()
+        assert not {("triangle", 7), ("triangle", 11)} & set(lhzcode.sim._LIVE.keys())  # each group dropped its graph
 
     def test_cells_keyed_by_slot_not_sweep_shape(self):
         # streams are keyed on (seed, decoder, n, eps slot): adding
