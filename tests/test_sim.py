@@ -1,8 +1,10 @@
 import gc
 import math
 import os
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -496,6 +498,22 @@ class TestRunCell:
             run_cell(1000, 0.1, "bp", 1, 1)
         with pytest.raises(CapacityError, match="planar graph at n=2899"):
             run_cell(2899, 0.1, "bp", 1, 1, graph="planar")
+
+    def test_graph_for_across_threads(self):
+        # Threads asking for one (kind, n) at once get alike graphs, mostly one
+        # object, and once they let go no graph stays behind.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                graphs = list(pool.map(lambda _: graph_for("triangle", 14), range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(graphs) == 64 and len({id(g) for g in graphs}) <= 8
+        assert all(np.array_equal(g.entries, graphs[0].entries) for g in graphs)
+        del graphs
+        gc.collect()
+        assert ("triangle", 14) not in lhzcode.sim._LIVE
 
     def test_graph_for_n2(self):
         fg = graph_for("triangle", 2)
