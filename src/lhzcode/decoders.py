@@ -221,6 +221,36 @@ _CLAMP = 2.0 ** -53
 _BIAS_MAX = 1.0 - 2.0 * _CLAMP
 
 
+def _magnitude(x: np.ndarray, out: np.ndarray) -> float:
+    """The magnitude every entry of x has, or 0.0 where they differ (or hold
+    NaN); out, shaped like x, takes |x|. x must not be empty."""
+    np.abs(x, out=out)
+    s = out.min()
+    return float(s) if s == out.max() else 0.0
+
+
+def _message_scale(s: float, factors: int):
+    """The c with fl(d c) == log1p(d) - log1p(-d) for d = +-P, or None if
+    there is none: P is s multiplied by itself left to right into a product
+    of factors, as a round multiplies the partner biases of a check. So in a
+    round whose sources all have magnitude s, every partner product is +-P,
+    and c turns each into its message with one multiply. One c serves both
+    signs, since d -> log1p(d) - log1p(-d) is odd to the bit. The message is
+    computed by a block's own ufunc chain, on a one-element array."""
+    d = np.full(1, s)
+    for _ in range(factors - 1):
+        np.multiply(d, s, out=d)
+    if not d[0] > 0.0:
+        return None
+    e = np.negative(d)
+    with np.errstate(divide="ignore"):
+        np.log1p(e, out=e)
+        f = np.log1p(d)
+    np.subtract(f, e, out=f)
+    c = f / d
+    return float(c[0]) if d * c == f else None
+
+
 def _bp_batch(
     graph: FactorGraph,
     p0: np.ndarray,
@@ -266,6 +296,24 @@ def _bp_batch(
     a contiguous axis, so a batch of one trial would round differently from
     a larger one. With the order written out, a trial's beliefs depend on
     neither its batch nor the block size.
+
+    Two shortcuts skip work whose result is known, and change no byte. Each
+    is chosen from the round's own data.
+    - One-magnitude rounds. If the partner table has no pad index, every
+      check has one weight w. If also every source bias of a round has one
+      magnitude s > 0, every partner product is +-P, with P = s^(w-1)
+      multiplied in the engine's order, since rounding is sign-symmetric.
+      And every message is +-f(P), since f(d) = log1p(d) - log1p(-d) is odd
+      to the bit. So _message_scale computes f(P) once, by the same ufunc
+      chain, and a block's log1p pair becomes one multiply by c = f(P)/P.
+      c is used only where fl(P c) == f(P). This happens in round 1 when the
+      two channel biases are exact negatives (+-0.8 at eps 0.1), and once
+      the beliefs are clamped, when the biases are +-(1 - 2^-52). It is
+      detected with no new temporary: |src| goes into nxt, or into g once
+      every belief of an extrinsic round sits at the clamp.
+    - The last requested round skips the settle compares, and an extrinsic
+      one builds no per-edge biases (prefix copies, suffix sums, the tanh
+      tail): none of the four outputs reads them.
     """
     extrinsic = schedule == "extrinsic"
     partners = _partners(graph, schedule)
@@ -280,7 +328,8 @@ def _bp_batch(
     tmp = np.empty((width, nv, t))
     # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
     # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
-    src = np.empty(((d_max * nv if extrinsic else nv) + 2, t))
+    n_src = d_max * nv if extrinsic else nv
+    src = np.empty((n_src + 2, t))
     src[-2:] = [[1.0], [0.0]]
     if extrinsic:
         g = np.empty((d_max, nv, t))
@@ -290,23 +339,36 @@ def _bp_batch(
         src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
     else:
         g = np.empty_like(tmp)
+    # No pad index: every check has the table's weight, every variable d_max checks.
+    full = cur.size > 0 and partners.max(initial=-1) < n_src
     for rounds in range(1, iterations + 1):
-        if extrinsic:
+        # The last round's per-edge biases would go unread.
+        edges = extrinsic and rounds < iterations
+        if edges:
             bias = new[:-2].reshape(d_max, nv, t)
             bias[0] = 0.0
-        else:
+        elif not extrinsic:
             src[:-2] = 2.0 * cur - 1.0
+        scale = None
+        if full and (rounds == 1 or not extrinsic):
+            scale = _message_scale(_magnitude(src[:nv], nxt), len(partners))
+        elif full and _magnitude(np.subtract(cur, 0.5, out=nxt), nxt) == 0.5 - _CLAMP:
+            # Every belief is clamped, so the per-edge biases may be too.
+            scale = _message_scale(_magnitude(src[:-2], g.reshape(n_src, t)), len(partners))
         for k0, k1 in blocks:
             msg, scratch = g[k0:k1] if extrinsic else g[: k1 - k0], tmp[: k1 - k0]
             np.take(src, partners[0, k0:k1], axis=0, out=msg, mode="clip")
             for p in partners[1:]:
                 np.take(src, p[k0:k1], axis=0, out=scratch, mode="clip")
                 np.multiply(msg, scratch, out=msg)
-            np.negative(msg, out=scratch)
-            with np.errstate(divide="ignore"):
-                np.log1p(scratch, out=scratch)
-                np.log1p(msg, out=msg)
-            np.subtract(msg, scratch, out=msg)
+            if scale is not None:
+                np.multiply(msg, scale, out=msg)
+            else:
+                np.negative(msg, out=scratch)
+                with np.errstate(divide="ignore"):
+                    np.log1p(scratch, out=scratch)
+                    np.log1p(msg, out=msg)
+                np.subtract(msg, scratch, out=msg)
             # nxt takes the sum of messages, slot by slot; on the way, the
             # running sum is the prefix the extrinsic pass needs.
             with np.errstate(invalid="ignore"):
@@ -314,7 +376,7 @@ def _bp_batch(
                     if k == 0:
                         np.copyto(nxt, m)
                         continue
-                    if extrinsic:
+                    if edges:
                         np.copyto(bias[k], nxt)
                     np.add(nxt, m, out=nxt)
         with np.errstate(invalid="ignore"):
@@ -329,6 +391,8 @@ def _bp_batch(
         np.divide(1.0, nxt, out=nxt)
         np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
         cur, nxt = nxt, cur
+        if rounds == iterations:
+            break
         # Bit patterns: only equal bytes are sure to give an equal next round (-0.0 == +0.0).
         settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
         if extrinsic:

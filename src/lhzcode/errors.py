@@ -64,6 +64,9 @@ def check_choice(name: str, value, options) -> None:
 
 
 def check_type(name: str, value, cls: type) -> None:
-    """The one object rule: a parameter typed as cls takes only a cls."""
+    """The one object rule: a parameter typed as cls takes only a cls. The
+    message names a non-builtin type with its module: numpy.bool, not bool."""
     if not isinstance(value, cls):
-        raise ConfigError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        got = type(value)
+        got_name = got.__qualname__ if got.__module__ == "builtins" else f"{got.__module__}.{got.__qualname__}"
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {got_name}")

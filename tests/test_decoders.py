@@ -36,7 +36,7 @@ from lhzcode import (
     planar_lhz_graph,
 )
 import lhzcode.decoders
-from lhzcode.decoders import SCHEDULES, _bp_batch, _majority_batch, _mle_batch, _vote_index_arrays
+from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _majority_batch, _mle_batch, _vote_index_arrays
 
 from reference import (
     consecutive_bits,
@@ -277,6 +277,16 @@ class TestBpAgainstSlotMajor:
             "hard": np.where(hard, 1.0 - word, rng.uniform(0.02, 0.98, (t, graph.n_vars))),
             # ... and of a random word, which may contradict a check
             "conflict": np.where(hard, 1.0 - observed, 0.5),
+            # one source magnitude in every round, as clamped beliefs give
+            "clamped": np.where(observed == 0, 1.0 - _CLAMP, _CLAMP),
+            # eps 0.2: biases 0.6 and -0.6 one ulp apart, so round 1 has two magnitudes
+            "eps0.2": np.where(observed == 0, 0.8, 0.2),
+            # eps 0.17: one magnitude, but no c gives every message with one multiply
+            "eps0.17": np.where(observed == 0, 1.0 - 0.17, 0.17),
+            # eps 0 on a codeword: magnitude 1 and infinite messages
+            "eps0": np.where(word == 0, 1.0, 0.0),
+            # eps 1/2: magnitude 0
+            "eps0.5": np.full((t, graph.n_vars), 0.5),
         }
         for iterations in (1, 3, 6):
             for kind, p0 in priors.items():
@@ -368,26 +378,32 @@ def test_hard_decision_rule(dtype):
 
 
 def _exit_batch(graph, eps, t=16, seed=41):
-    """Observed words and three prior kinds for a batch of noisy codewords:
+    """Observed words and four prior kinds for a batch of noisy codewords:
     channel priors, the same with a tenth of the rows exactly hard toward the
-    sent codeword (prior LLR +-inf), and uniform random priors."""
+    sent codeword (prior LLR +-inf), uniform random priors, and priors at the
+    belief clamp, whose sources have one magnitude in round 1."""
     rng = stream(seed, graph.n_vars)
     true = encode(rng.integers(0, 2, (t, num_logical(graph.n_vars)), dtype=np.uint8))
     observed = apply_iid_flip(true, NoiseModel(eps), rng)
     channel = np.where(observed == 0, 1.0 - eps, eps)
     hard = rng.random(observed.shape) < 0.1
     priors = {"channel": channel, "hard": np.where(hard, 1.0 - true, channel),
-              "uniform": rng.uniform(0.02, 0.98, observed.shape)}
+              "uniform": rng.uniform(0.02, 0.98, observed.shape),
+              "clamped": np.where(observed == 0, 1.0 - _CLAMP, _CLAMP)}
     return observed, priors
 
 
 class _CountExp:
     """Stands in for numpy inside lhzcode.decoders and counts np.exp calls:
-    _bp_batch makes one per round it runs, for the new beliefs. (Its np.log1p
-    calls come two per block of degree slots, and a round may have several.)"""
+    _bp_batch makes one per round it runs, for the new beliefs. It also notes
+    the rounds that make per-edge np.log1p and np.tanh calls, those on a block
+    of degree slots: a block makes two log1p calls unless its round takes the
+    one-magnitude shortcut, and a tanh call per block after the round's
+    beliefs unless the round is the last requested extrinsic one."""
 
     def __init__(self):
         self.calls = 0
+        self.per_edge = {"log1p": set(), "tanh": set()}
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -395,6 +411,16 @@ class _CountExp:
     def exp(self, *args, **kwargs):
         self.calls += 1
         return np.exp(*args, **kwargs)
+
+    def log1p(self, x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            self.per_edge["log1p"].add(self.calls + 1)  # before the round's exp
+        return np.log1p(x, *args, **kwargs)
+
+    def tanh(self, x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            self.per_edge["tanh"].add(self.calls)  # after it
+        return np.tanh(x, *args, **kwargs)
 
 
 _EXIT_CASES = (
@@ -405,6 +431,8 @@ _EXIT_CASES = (
         pytest.param(planar_lhz_graph(20), 0.1, "extrinsic", 4, 46, id="planar20-extrinsic-t4"),
         pytest.param(triangle_graph(20), 0.2, "extrinsic", 16, 41, id="tri20-extrinsic"),
     ]
+    # eps 0 gives exactly hard channel priors, eps 1/2 biases of magnitude 0
+    + [pytest.param(triangle_graph(12), e, s, 16, 41, id=f"tri12-eps{e}-{s}") for e in (0.0, 0.5) for s in SCHEDULES]
 )
 
 
@@ -478,6 +506,45 @@ class TestBpFixedPointExit:
         for iterations in (5, 40):
             rounds, _ = self._rounds_run(monkeypatch, graph, priors["uniform"], observed, iterations, schedule)
             assert rounds == iterations
+
+
+class TestBpShortcuts:
+    """Which rounds take _bp_batch's two shortcuts. Their bytes are the
+    generic engine's: the slot-major oracle tests above run the same inputs."""
+
+    @staticmethod
+    def _spy(monkeypatch, graph, p0, observed, iterations, schedule):
+        spy = _CountExp()
+        with monkeypatch.context() as m:
+            m.setattr(lhzcode.decoders, "np", spy)
+            out = _bp_batch(graph, p0, observed, iterations, schedule)
+        return spy, out
+
+    def test_one_magnitude_round_skips_log1p(self, monkeypatch):
+        # At eps 0.1 the prior biases are exactly +-0.8, so round 1 of the belief
+        # schedule on a triangle graph makes no per-edge log1p call.
+        graph = triangle_graph(14)
+        observed, priors = _exit_batch(graph, 0.1)
+        spy, out = self._spy(monkeypatch, graph, priors["channel"], observed, 5, "belief")
+        assert 1 not in spy.per_edge["log1p"] and spy.calls == out[3]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_padded_table_runs_log1p_every_round(self, monkeypatch, schedule):
+        # The planar graph's table has pads, so no round takes the shortcut.
+        graph = planar_lhz_graph(20)
+        observed, priors = _exit_batch(graph, 0.1)
+        spy, out = self._spy(monkeypatch, graph, priors["channel"], observed, 5, schedule)
+        assert spy.per_edge["log1p"] == set(range(1, out[3] + 1))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5])
+    def test_last_extrinsic_round_builds_no_biases(self, monkeypatch, iterations):
+        # Uniform priors on the planar graph run every requested round; the
+        # last one computes no per-edge bias, so it makes no tanh call.
+        graph = planar_lhz_graph(20)
+        observed, priors = _exit_batch(graph, 0.1)
+        spy, out = self._spy(monkeypatch, graph, priors["uniform"], observed, iterations, "extrinsic")
+        assert out[3] == spy.calls == iterations
+        assert spy.per_edge["tanh"] == set(range(1, iterations))
 
 
 class TestBpTreeExactness:

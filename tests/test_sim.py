@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import sys
 import tracemalloc
 import weakref
@@ -182,6 +183,7 @@ class TestSimConfig:
             _bad_cell("include_direct-string", include_direct="yes"),
             _bad_cell("all_zero-array", all_zero=np.zeros((2, 3))),
             _bad_cell("shared_noise-none", shared_noise=None),
+            _bad_cell("include_direct-numpy-bool", decoder="majority", include_direct=np.bool_(True)),
             pytest.param(lambda: majority_vote_decode([0, 1, 1], include_direct=np.zeros((2, 3))),
                          id="majority-include_direct-array"),
             pytest.param(lambda: majority_vote_decode([0, 1, 1], include_direct=1), id="majority-include_direct-int"),
@@ -193,6 +195,8 @@ class TestSimConfig:
         with pytest.raises(ConfigError) as exc:
             build()
         assert isinstance(exc.value, LhzError) and isinstance(exc.value, ValueError)
+        # a type rule names the type it got apart from the one it wants
+        assert not re.search(r"must be a (\S+), got \1$", str(exc.value)), exc.value
 
 
 def _cell(n=5, trials=30, decoder="majority", eps=0.2, seed=9, all_zero=False):
