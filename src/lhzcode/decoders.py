@@ -339,8 +339,8 @@ def _bp_batch(
         src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
     else:
         g = np.empty_like(tmp)
-    # No pad index: every check has the table's weight, every variable d_max checks.
-    full = cur.size > 0 and partners.max(initial=-1) < n_src
+    # No pad index in the table: every check has its weight, every variable d_max checks.
+    full = cur.size > 0 and graph.entries.size == graph.n_checks * (len(partners) + 1) == d_max * nv
     for rounds in range(1, iterations + 1):
         # The last round's per-edge biases would go unread.
         edges = extrinsic and rounds < iterations

@@ -423,6 +423,15 @@ class _CountExp:
         return np.tanh(x, *args, **kwargs)
 
 
+def _spied_bp_batch(monkeypatch, graph, p0, observed, iterations, schedule):
+    """_bp_batch's outputs, and the _CountExp that stood in for numpy during the call."""
+    spy = _CountExp()
+    with monkeypatch.context() as m:
+        m.setattr(lhzcode.decoders, "np", spy)
+        out = _bp_batch(graph, p0, observed, iterations, schedule)
+    return spy, out
+
+
 _EXIT_CASES = (
     [pytest.param(triangle_graph(n), 0.05, s, 16, 41, id=f"tri{n}-{s}") for n in (12, 14, 16) for s in SCHEDULES]
     + [pytest.param(planar_lhz_graph(20), 0.1, s, 16, 41, id=f"planar20-{s}") for s in SCHEDULES]
@@ -455,11 +464,8 @@ class TestBpFixedPointExit:
                 _assert_matches_oracle(graph, p0, observed, iterations, schedule, (kind, iterations))
 
     @staticmethod
-    def _rounds_run(monkeypatch, graph, p0, observed, iterations, schedule):
-        spy = _CountExp()
-        with monkeypatch.context() as m:
-            m.setattr(lhzcode.decoders, "np", spy)
-            out = _bp_batch(graph, p0, observed, iterations, schedule)
+    def _rounds_run(monkeypatch, *args):
+        spy, out = _spied_bp_batch(monkeypatch, *args)
         return spy.calls, out
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -512,28 +518,23 @@ class TestBpShortcuts:
     """Which rounds take _bp_batch's two shortcuts. Their bytes are the
     generic engine's: the slot-major oracle tests above run the same inputs."""
 
-    @staticmethod
-    def _spy(monkeypatch, graph, p0, observed, iterations, schedule):
-        spy = _CountExp()
-        with monkeypatch.context() as m:
-            m.setattr(lhzcode.decoders, "np", spy)
-            out = _bp_batch(graph, p0, observed, iterations, schedule)
-        return spy, out
-
-    def test_one_magnitude_round_skips_log1p(self, monkeypatch):
-        # At eps 0.1 the prior biases are exactly +-0.8, so round 1 of the belief
-        # schedule on a triangle graph makes no per-edge log1p call.
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_one_magnitude_round_skips_log1p(self, monkeypatch, schedule):
+        # At eps 0.1 the prior biases are exactly +-0.8, so round 1 on a
+        # triangle graph makes no per-edge log1p call. Nor does the last round
+        # here, the fixed point, whose sources are all clamped.
         graph = triangle_graph(14)
         observed, priors = _exit_batch(graph, 0.1)
-        spy, out = self._spy(monkeypatch, graph, priors["channel"], observed, 5, "belief")
-        assert 1 not in spy.per_edge["log1p"] and spy.calls == out[3]
+        spy, out = _spied_bp_batch(monkeypatch, graph, priors["channel"], observed, 5, schedule)
+        assert spy.calls == out[3] < 5
+        assert spy.per_edge["log1p"] == set(range(2, out[3]))
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_padded_table_runs_log1p_every_round(self, monkeypatch, schedule):
         # The planar graph's table has pads, so no round takes the shortcut.
         graph = planar_lhz_graph(20)
         observed, priors = _exit_batch(graph, 0.1)
-        spy, out = self._spy(monkeypatch, graph, priors["channel"], observed, 5, schedule)
+        spy, out = _spied_bp_batch(monkeypatch, graph, priors["channel"], observed, 5, schedule)
         assert spy.per_edge["log1p"] == set(range(1, out[3] + 1))
 
     @pytest.mark.parametrize("iterations", [1, 2, 5])
@@ -542,7 +543,7 @@ class TestBpShortcuts:
         # last one computes no per-edge bias, so it makes no tanh call.
         graph = planar_lhz_graph(20)
         observed, priors = _exit_batch(graph, 0.1)
-        spy, out = self._spy(monkeypatch, graph, priors["uniform"], observed, iterations, "extrinsic")
+        spy, out = _spied_bp_batch(monkeypatch, graph, priors["uniform"], observed, iterations, "extrinsic")
         assert out[3] == spy.calls == iterations
         assert spy.per_edge["tanh"] == set(range(1, iterations))
 
