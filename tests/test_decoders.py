@@ -281,7 +281,7 @@ class TestBpAgainstSlotMajor:
             "clamped": np.where(observed == 0, 1.0 - _CLAMP, _CLAMP),
             # eps 0.2: biases 0.6 and -0.6 one ulp apart, so round 1 has two magnitudes
             "eps0.2": np.where(observed == 0, 0.8, 0.2),
-            # eps 0.17: one magnitude, but no c gives every message with one multiply
+            # eps 0.17: one magnitude, but on weight-3 checks fl(P c) misses f(P) for c = f(P)/P
             "eps0.17": np.where(observed == 0, 1.0 - 0.17, 0.17),
             # eps 0 on a codeword: magnitude 1 and infinite messages
             "eps0": np.where(word == 0, 1.0, 0.0),
