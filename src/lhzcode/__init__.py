@@ -17,7 +17,6 @@ from .codes import (
     logical_from_consecutive,
     num_logical,
     num_pairs,
-    pair_index,
     pair_table,
 )
 from .decoders import (

@@ -20,7 +20,6 @@ from .errors import ConfigError, DimensionError, InvalidPairError, check_count, 
 __all__ = [
     "num_pairs",
     "num_logical",
-    "pair_index",
     "index_pair",
     "pair_table",
     "as_bits",
@@ -48,21 +47,20 @@ def num_logical(k: int) -> int:
     return n
 
 
-def pair_index(i: int, j: int, n: int) -> int:
-    """Linear index of the pair (i, j) with 1 <= i < j <= n."""
-    i, j, n = (check_count(name, v) for name, v in (("i", i), ("j", j), ("n", n)))
-    if not 1 <= i < j <= n:
-        raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return _pair_ids(i, j, n)
-
-
 def _pair_ids(i, j, n):
-    """pair_index without its checks, for ints or integer arrays alike."""
+    """Linear index of the pair (i, j), 1 <= i < j <= n, unchecked, for ints
+    or integer arrays alike."""
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
+def _upper_cells(n: int) -> np.ndarray:
+    """Flat indices into an n x n matrix of its cells (i, j), i < j, zero-based,
+    in pair index order."""
+    return np.flatnonzero(np.arange(n)[:, None] < np.arange(n))
+
+
 def index_pair(k: int, n: int) -> tuple[int, int]:
-    """Pair (i, j) sitting at linear index k; inverse of pair_index."""
+    """Pair (i, j) sitting at linear index k, the inverse of the pair order."""
     k, n = check_count("k", k), check_count("n", n, 2)
     if not 0 <= k < num_pairs(n):
         raise InvalidPairError(f"index {k} out of range for n={n} ({num_pairs(n)} pairs)")
@@ -114,7 +112,7 @@ def encode(bits) -> np.ndarray:
         raise DimensionError(f"need at least 2 logical bits, got {n}")
     bt = np.ascontiguousarray(b.T).reshape(n, -1)
     outer = np.bitwise_xor(bt[:, None], bt[None, :]).reshape(n * n, -1)
-    g = np.take(outer, np.flatnonzero(np.arange(n)[:, None] < np.arange(n)), axis=0)
+    g = np.take(outer, _upper_cells(n), axis=0)
     return g.T if b.ndim == 2 else g[:, 0]
 
 

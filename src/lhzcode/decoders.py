@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import NoiseModel
 from .codes import (
-    _pair_ids,
+    _upper_cells,
     as_bits,
     consecutive_indices,
     encode,
@@ -84,37 +84,32 @@ def epsilon_star(epsilon: float) -> float:
 
 # ---------------------------------------------------------------- majority
 
-def _vote_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (A, B), shape (n-1, n-2): vote k for target (i, i+1) is
-    word[A] xor word[B] with A = index(i,k), B = index(i+1,k). Nothing keeps
-    them: sim.run_cell builds them once per majority cell, 0.1 ms and 24 kB
-    at n = 40, about 50 ms and 16 MB at n = 1000."""
-    i = np.arange(1, n, dtype=np.intp)[:, None]
-    k = np.arange(1, n - 1, dtype=np.intp)
-    k = k + 2 * (k >= i)  # the n-2 k outside (i, i+1), ascending
-    below = k < i
-    a = np.where(below, _pair_ids(k, i, n), _pair_ids(i, k, n))
-    b = np.where(below, _pair_ids(k, i + 1, n), _pair_ids(i + 1, k, n))
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarray:
+    """Majority decisions for the consecutive bits, (trials, n-1).
 
-
-def _majority_batch(words: np.ndarray, n: int, include_direct: bool, votes: tuple) -> np.ndarray:
-    """Majority decisions for the consecutive bits, (trials, n-1); votes is
-    _vote_index_arrays(n).
-
-    Votes are counted in the smallest unsigned type that holds n, uint8 up to
-    n = 255: a one wins when ones > total // 2 and a zero when
-    ones < (total + 1) // 2, comparisons that cannot overflow, and the tie
-    rule is boolean operations on them, so nothing is widened to int64.
-    Its speed depends on the words' memory order, not its output: each vote
-    gathers whole columns, so the column-major words sim._draw_words hands it
-    run about four times as fast as a row-major copy: 0.75 against 3.3 ms at
-    n=40 and 1024 trials (timeit, best of 10, numpy 2.4.6)."""
+    The words go into the symmetric pair matrix M, (n, n, trials) with
+    M[i, j] = M[j, i] = g_ij and a zero diagonal, so the n-2 votes of target
+    (i, i+1) are the xor of rows i and i+1 off columns i and i+1. Each of
+    those two columns adds the observed g_(i,i+1) to the row sum, which is
+    subtracted twice. The sum is at most n, so votes are counted in the
+    smallest unsigned type that holds n, uint8 up to n = 255: a one wins when
+    ones > total // 2 and a zero when ones < (total + 1) // 2, comparisons
+    that cannot overflow, and the tie rule is boolean operations on them, so
+    nothing is widened to int64.
+    Its speed depends on the words' memory order, not its output: M is
+    filled a word position at a time, so the column-major words
+    sim._draw_words hands it run about 2.7 times as fast as a row-major
+    copy: 0.61 against 1.65 ms at n=40 and 1024 trials (timeit, best of 10,
+    numpy 2.4.6, 2 vCPUs)."""
+    up = _upper_cells(n)
+    m = np.zeros((n * n, words.shape[0]), dtype=np.uint8)
+    m[up] = words.T
+    m[(up % n) * n + up // n] = words.T
+    m = m.reshape(n, n, -1)
+    ones = np.bitwise_xor(m[:-1], m[1:]).sum(axis=1, dtype=np.min_scalar_type(n)).T
     observed = words[:, consecutive_indices(n)]
-    a, b = votes
-    ones = (words[:, a] ^ words[:, b]).sum(axis=2, dtype=np.min_scalar_type(n))
+    ones -= observed
+    ones -= observed
     total = n - 2
     if include_direct:
         ones += observed
@@ -135,7 +130,7 @@ def majority_vote_decode(g_obs, *, include_direct: bool = False) -> DecodeOutcom
     check_type("include_direct", include_direct, bool)
     g = as_bits(g_obs)
     n = num_logical(g.size)
-    cons = _majority_batch(g[None, :], n, include_direct, _vote_index_arrays(n))[0]
+    cons = _majority_batch(g[None, :], n, include_direct)[0]
     word = encode(logical_from_consecutive(cons))
     return DecodeOutcome(consecutive=cons, word=word, beliefs=None, iterations=0, converged=True)
 
@@ -195,10 +190,13 @@ def _bp_rows(graph: FactorGraph, schedule: str) -> int:
     """Trials per _bp_batch call on graph. The extrinsic schedule's batch is
     _BP_TRIALS. The belief schedule holds no per-edge array, so its batch is
     as many trials as keep one (n_vars, trials) float64 block within
-    _BP_SLOT_BYTES, _BP_TRIALS at least: 496 at triangle n = 12, 35 at n = 40.
+    _BP_SLOT_BYTES, _BP_TRIALS at least: 496 at triangle n = 12, 42 at n = 40.
     Either is cut to fewer (at least one) where a per-edge array would pass
-    _BP_BLOCK_BYTES. It reads the sizes off the schedule's own partner table,
-    so no other table gets built. It sizes memory, never output."""
+    _BP_BLOCK_BYTES. That cap binds the belief schedule too, though it holds
+    no such array: 42 becomes 35 at triangle n = 40, and 2 at n = 100. It
+    stays, since lifting it slowed the belief n = 40 bench cell from 0.126 to
+    0.150 s. It reads the sizes off the schedule's own partner table, so no
+    other table gets built. It sizes memory, never output."""
     _, d_max, nv = _partners(graph, schedule).shape
     rows = _BP_TRIALS if schedule == "extrinsic" else max(_BP_TRIALS, _BP_SLOT_BYTES // (8 * nv))
     return max(1, min(rows, _BP_BLOCK_BYTES // (8 * d_max * nv)))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import NoiseModel, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
-from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, _vote_index_arrays, epsilon_star
+from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, epsilon_star
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
@@ -222,17 +222,17 @@ def _draw_rows(n: int) -> int:
     return max(1, min(_DRAW_BLOCK, _DRAW_BYTES // (8 * ((num_pairs(n) + 1) // 2))))
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig, table: FactorGraph | tuple | None) -> np.ndarray:
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config; table is the cell's vote index pairs (majority) or graph (bp)."""
+    config; graph is the cell's constraint graph (bp) or None."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
-        return _majority_batch(obs, n, cell.include_direct, table)
+        return _majority_batch(obs, n, cell.include_direct)
     if decoder == "mle":
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
     p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
-    _, hard, _, _ = _bp_batch(table, p0, obs, cell.bp_iterations, cell.schedule)
+    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
     return hard[:, consecutive_indices(n)]
 
 
@@ -266,14 +266,14 @@ def run_cell(
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     (n,), trials, seed, bp_iterations = cell.n_values, cell.trials, cell.seed, cell.bp_iterations  # as ints
     eps_index = check_count("eps_index", eps_index, 0)
-    table = graph_for(graph, n) if decoder == "bp" else _vote_index_arrays(n) if decoder == "majority" else None
-    block = _bp_rows(table, schedule) if decoder == "bp" else _draw_rows(n)
+    bp_graph = graph_for(graph, n) if decoder == "bp" else None
+    block = _bp_rows(bp_graph, schedule) if decoder == "bp" else _draw_rows(n)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
         true, obs = _draw_words(cell, rngs, min(block, trials - lo))
         true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell, table)
+        decoded = _decode_consecutive(obs, cell, bp_graph)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials

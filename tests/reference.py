@@ -7,7 +7,8 @@ vectorised kernels: the Hamming-distance nearest-codeword search, which reads
 the candidates in the package's counter order, and the slot-major LLR engine
 at the end. The first helpers are test-only: the [7,4] Hamming graph, the one
 fixture that is not a pairwise-parity layout, the syndrome, rank and codeword
-set of a graph's check matrix over GF(2), and the gauge-fixed readout and
+set of a graph's check matrix over GF(2), the linear index of a pair (checked
+with the package's own count rule), and the gauge-fixed readout and
 consecutive-pair slice of a physical word.
 """
 
@@ -22,12 +23,13 @@ from lhzcode import (
     CapacityError,
     FactorGraph,
     InconsistentEvidenceError,
+    InvalidPairError,
     as_bits,
     encode,
     num_logical,
-    pair_index,
 )
 from lhzcode.decoders import MLE_MAX_LOGICAL, _counter_bits
+from lhzcode.errors import check_count
 
 
 def hamming_7_4():
@@ -75,6 +77,15 @@ def enumerate_codewords(graph):
             w ^= vec
         words.add(tuple(w >> v & 1 for v in range(graph.n_vars)))
     return words
+
+
+def pair_index(i, j, n):
+    """Linear index of the pair (i, j) with 1 <= i < j <= n: the pairs of the
+    rows before i, then those of row i before j."""
+    i, j, n = (check_count(name, v) for name, v in (("i", i), ("j", j), ("n", n)))
+    if not 1 <= i < j <= n:
+        raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    return sum(n - row for row in range(1, i)) + (j - i - 1)
 
 
 def logical_readout(g):

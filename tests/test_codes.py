@@ -14,10 +14,9 @@ from lhzcode import (
     logical_from_consecutive,
     num_logical,
     num_pairs,
-    pair_index,
     pair_table,
 )
-from reference import consecutive_bits, logical_readout
+from reference import consecutive_bits, logical_readout, pair_index
 
 bit_words = st.integers(2, 9).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
@@ -103,7 +102,7 @@ class TestEncode:
     def test_batches_match_the_pair_definition(self, n):
         # g_ij = b_i xor b_j pair by pair, for empty, small and 1024-row batches
         # and one word; batches come back column-major, the order
-        # _majority_batch gathers columns from fastest
+        # _majority_batch reads fastest
         i, j = (np.array(side) - 1 for side in zip(*pair_table(n)))
         rng = np.random.default_rng(n)
         for rows in (0, 1, 7, 1024):

@@ -46,7 +46,6 @@ VALID = {
     "logical_from_consecutive": dict(c=[0, 1]),
     "num_logical": dict(k=3),
     "num_pairs": dict(n=3),
-    "pair_index": dict(i=1, j=2, n=3),
     "pair_table": dict(n=3),
     "DecodeOutcome": dict(consecutive=None, word=WORD, beliefs=None, iterations=0, converged=True),
     "bp_decode": dict(graph=triangle_graph(3), priors=np.full((3, 2), 0.5)),
@@ -192,7 +191,6 @@ def _graph(graph):
 FIXED_WIDTH = {
     "num_pairs": lambda t: lhzcode.num_pairs(t(100)),
     "num_logical": lambda t: lhzcode.num_logical(t(120)),
-    "pair_index": lambda t: lhzcode.pair_index(t(50), t(100), t(120)),
     "index_pair": lambda t: lhzcode.index_pair(t(120), t(100)),
     "pair_table": lambda t: lhzcode.pair_table(t(100))[-3:],
     "consecutive_indices": lambda t: lhzcode.consecutive_indices(t(100)).tolist(),

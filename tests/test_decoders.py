@@ -30,13 +30,12 @@ from lhzcode import (
     mle_decode,
     num_logical,
     num_pairs,
-    pair_index,
     stream,
     triangle_graph,
     planar_lhz_graph,
 )
 import lhzcode.decoders
-from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _majority_batch, _mle_batch, _vote_index_arrays
+from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _majority_batch, _mle_batch
 
 from reference import (
     consecutive_bits,
@@ -49,6 +48,7 @@ from reference import (
     naive_belief_bp,
     naive_extrinsic_bp,
     nearest_codeword_bruteforce,
+    pair_index,
     slot_major_bp_batch,
     syndrome,
     vote_majority,
@@ -839,18 +839,21 @@ class TestMajority:
     def test_batch_matches_single(self):
         rng = stream(88)
         words = rng.integers(0, 2, size=(50, 10), dtype=np.uint8)
-        dec = _majority_batch(words, 5, False, _vote_index_arrays(5))
+        dec = _majority_batch(words, 5, False)
         for t in range(50):
             assert (dec[t] == majority_vote_decode(words[t]).consecutive).all()
 
     @pytest.mark.parametrize("include_direct", [False, True])
-    @pytest.mark.parametrize("n", [254, 255, 256, 257])
+    @pytest.mark.parametrize("n", [*range(2, 42), 254, 255, 256, 257, 1000])
     def test_counts_at_the_counter_width(self, n, include_direct):
-        # Votes are counted in uint8 through n = 255, where n - 1 of them (the
-        # direct bit included) reach 254, and in uint16 from n = 256. The words:
-        # all ones (every vote 0, every direct bit 1, so 0 wins); the codeword
-        # of alternating bits, whose every vote counts as a one, with and
-        # without its direct bits flipped; and noisy words near a tie.
+        # Votes are counted in uint8 through n = 255, where a row sum of the
+        # pair matrix (the votes plus the direct bit twice) reaches 255, and
+        # in uint16 from n = 256. The words: all ones (every vote 0, every
+        # direct bit 1, so 0 wins); the codeword of alternating bits, whose
+        # every vote counts as a one, with and without its direct bits
+        # flipped, which turns at most two votes of each target to 0, so 1
+        # still wins from n = 8; and noisy words near a tie. Row- and
+        # column-major words give the same bytes.
         rng = np.random.default_rng(n)
         k = num_pairs(n)
         alternating = encode(np.arange(n) % 2)
@@ -858,9 +861,12 @@ class TestMajority:
         flipped[consecutive_indices(n)] ^= 1
         words = np.vstack([np.ones(k, dtype=np.uint8), alternating, flipped,
                            encode(rng.integers(0, 2, size=(5, n))) ^ (rng.random((5, k)) < 0.45)])
-        got = _majority_batch(np.asfortranarray(words), n, include_direct, _vote_index_arrays(n))
-        assert got.dtype == np.uint8 and np.array_equal(got, majority_batch_int64(words, n, include_direct))
-        assert got[1:3].all() and not got[0].any()
+        want = majority_batch_int64(words, n, include_direct)
+        for order in "CF":
+            got = _majority_batch(np.asarray(words, order=order), n, include_direct)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        if n >= 8:
+            assert got[1:3].all() and not got[0].any()
 
 
 class TestMle:

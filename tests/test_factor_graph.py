@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 
 import lhzcode.factor_graph
 from lhzcode.codes import MAX_N
-from lhzcode.decoders import SCHEDULES, _bp_batch, _bp_layout, _bp_rows, _vote_index_arrays
+from lhzcode.decoders import SCHEDULES, _bp_batch, _bp_layout, _bp_rows, _majority_batch
 from lhzcode.sim import graph_for
-from reference import enumerate_codewords, gf2_rank, hamming_7_4, naive_belief_bp, naive_extrinsic_bp, syndrome
+from reference import (
+    enumerate_codewords,
+    gf2_rank,
+    hamming_7_4,
+    naive_belief_bp,
+    naive_extrinsic_bp,
+    pair_index,
+    syndrome,
+    vote_majority,
+)
 
 from lhzcode import (
     CapacityError,
@@ -20,7 +29,6 @@ from lhzcode import (
     bp_decode,
     encode,
     num_pairs,
-    pair_index,
     planar_lhz_graph,
     triangle_graph,
 )
@@ -362,13 +370,15 @@ def test_built_in_structure(build, n):
 
 @pytest.mark.parametrize("n", range(3, 61))
 def test_vote_tables_match_definition(n):
-    # vote k for target (i, i+1) reads the pairs {i, k} and {i+1, k}, k ascending
-    for shift, table in enumerate(_vote_index_arrays(n)):
-        want = [[pair_index(min(i + shift, k), max(i + shift, k), n) for k in range(1, n + 1) if k not in (i, i + 1)]
-                for i in range(1, n)]
-        assert table.tolist() == want
-        assert table.dtype == np.intp and table.shape == (n - 1, n - 2)
-        assert table.flags.c_contiguous and not table.flags.writeable
+    # vote k for target (i, i+1) reads the pairs {i, k} and {i+1, k}: the
+    # kernel reads them as rows i and i+1 of the pair matrix, the oracle by
+    # pair_index, one vote at a time, on uniformly random words, where about
+    # half the votes of each target are ones
+    words = np.random.default_rng(n).integers(0, 2, size=(3, num_pairs(n)), dtype=np.uint8)
+    for include_direct in (False, True):
+        got = _majority_batch(words, n, include_direct)
+        want = [[vote_majority(w, n, i, include_direct) for i in range(1, n)] for w in words]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("build", [triangle_graph, planar_lhz_graph])

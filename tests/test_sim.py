@@ -32,7 +32,6 @@ from lhzcode import (
     majority_vote_decode,
     mle_decode,
     num_pairs,
-    pair_index,
     pair_table,
     planar_lhz_graph,
     run_cell,
@@ -44,7 +43,7 @@ from lhzcode import (
 from lhzcode.decoders import SCHEDULES, _bp_rows
 from lhzcode.sim import _DRAW_BLOCK, DECODER_IDS, _draw_words, _streams, graph_for
 
-from reference import exact_majority_pair_fail, syndrome
+from reference import exact_majority_pair_fail, pair_index, syndrome
 
 
 class TestBounds:
@@ -140,6 +139,7 @@ class TestSimConfig:
             pytest.param(lambda: FactorGraph(3.5, ()), id="factor_graph-float-size"),
             pytest.param(lambda: FactorGraph(3, ((0, 1.5),)), id="factor_graph-float-variable"),
             pytest.param(lambda: FactorGraph(3, [[0, 1]]), id="factor_graph-list"),
+            # the test-only pair index checks its counts with the library's check_count
             pytest.param(lambda: pair_index(1.5, 2, 3), id="pair_index-float"),
             # the sweep axes are tuples, as annotated, so a config can be hashed
             {"n_values": 3},
@@ -245,8 +245,9 @@ class TestDrawWords:
 
     @pytest.mark.parametrize("all_zero", [False, True])
     def test_words_are_column_major(self, all_zero):
-        # _majority_batch gathers columns and runs about four times as fast on
-        # column-major words; the bytes would not change if this broke
+        # _majority_batch fills its pair matrix a word position at a time and
+        # runs about three times as fast on column-major words; the bytes would
+        # not change if this broke
         cell = _cell(40, 64, all_zero=all_zero)
         true, obs = _draw_words(cell, _streams(cell, 0), 64)
         assert true.flags.f_contiguous and obs.flags.f_contiguous
@@ -384,8 +385,8 @@ class TestRunCell:
         # After warm-up cells at other n, finished cells at an n no other test
         # runs leave almost nothing behind: a triangle n = 59 bp cell, whose
         # graph and partner table alone are about 2 MiB, a majority cell at
-        # n = 300, whose vote table and upper-triangle pair indices alone are
-        # about 2 MiB, and an mle cell at n = 13.
+        # n = 300, whose upper-triangle pair indices and their mirror alone are
+        # about 0.7 MiB, and an mle cell at n = 13.
         for decoder in DECODER_IDS:
             run_cell(9, 0.1, decoder, 1, 1)
         tracemalloc.start()
