@@ -15,12 +15,13 @@ __all__ = ["NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Each readout bit flips independently with probability epsilon."""
+    """Each readout bit flips independently with probability epsilon, kept
+    as a Python float whatever real type it was given as."""
 
     epsilon: float
 
     def __post_init__(self):
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))  # the dataclass is frozen
 
 
 def stream(master_seed: int, *subkeys: int) -> np.random.Generator:

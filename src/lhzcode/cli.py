@@ -21,13 +21,12 @@ from dataclasses import fields
 from .channel import NoiseModel, channel_prior
 from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
-from .errors import CapacityError, ConfigError, DimensionError, LhzError
+from .errors import CapacityError, ConfigError, DimensionError, LhzError, check_count
 from .sim import DECODER_IDS, GRAPH_KINDS, SimConfig, SimResult, chernoff_bound, graph_for, run_sweep, union_bound
 
 __all__ = ["OUTPUT_COLUMNS", "main", "build_parser"]
 
 OUTPUT_COLUMNS = tuple(f.name for f in fields(SimResult) if f.compare)
-_BOUND_COLUMNS = ("n", "epsilon", "eps_star", "chernoff", "union_bound")
 
 
 def _fmt(x: float) -> str:
@@ -205,16 +204,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"seed: {seed}", file=sys.stderr)
     config = SimConfig(
         n_values=_parse_int_list(args.n),
         eps_values=_parse_float_list(args.eps),
         decoders=tuple(args.decoder.split(",")),
         trials=args.trials,
-        seed=seed,
+        seed=secrets.randbits(63) if args.seed is None else args.seed,
         graph=args.graph,
         bp_iterations=args.iterations,
         schedule=args.schedule,
@@ -222,9 +217,12 @@ def cmd_simulate(args) -> int:
         all_zero=args.all_zero,
         shared_noise=args.shared_noise,
     )
+    threads = check_count("threads", args.threads, 1)
     if args.out is not None:
         _check_out(args.out)
-    sweep = run_sweep(config, threads=args.threads)
+    if args.seed is None:  # echoed once every setting has passed, so only a run that starts echoes one
+        print(f"seed: {config.seed}", file=sys.stderr)
+    sweep = run_sweep(config, threads=threads)
     rows = [{c: getattr(r, c) for c in OUTPUT_COLUMNS} for r in sweep.rows]
     with _open_out(args.out) as stream_:
         _emit(rows, OUTPUT_COLUMNS, args.format, stream_)
@@ -236,19 +234,11 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     # Every row is computed before any output, so a bad value prints nothing.
     ns, eps = _parse_int_list(args.n), _parse_float_list(args.eps)
-    rows = [
-        {
-            "n": n,
-            "epsilon": e,
-            "eps_star": epsilon_star(e),
-            "chernoff": chernoff_bound(n, e),
-            "union_bound": union_bound(n, e),
-        }
-        for n in ns
-        for e in eps
-    ]
+    columns = ("n", "epsilon", "eps_star", "chernoff", "union_bound")
+    rows = [dict(zip(columns, (n, e, epsilon_star(e), chernoff_bound(n, e), union_bound(n, e))))
+            for n in ns for e in eps]
     with _open_out(args.out) as stream_:
-        _emit(rows, _BOUND_COLUMNS, args.format, stream_)
+        _emit(rows, columns, args.format, stream_)
     return 0
 
 

@@ -91,6 +91,8 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
         raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
     if np.issubdtype(a.dtype, np.integer):  # one min and one max, no per-element masks
         ok = a.size == 0 or (a.min() >= 0 and a.max() <= 1)
+    elif a.dtype.kind == "c":  # the cast below would drop the imaginary part, with a warning
+        raise ConfigError("bits must be real, got a complex array")
     else:
         ok = a.dtype == bool or np.all((a == 0) | (a == 1))
     if not ok:

@@ -78,7 +78,7 @@ class DecodeOutcome:
 
 def epsilon_star(epsilon: float) -> float:
     """Flip probability of a parity of two bits: 2 eps (1 - eps)."""
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     return 2.0 * epsilon * (1.0 - epsilon)
 
 
@@ -219,22 +219,19 @@ _CLAMP = 2.0 ** -53
 _BIAS_MAX = 1.0 - 2.0 * _CLAMP
 
 
-def _magnitude(x: np.ndarray, out: np.ndarray) -> float:
-    """The magnitude every entry of x has, or 0.0 where they differ (or hold
-    NaN); out, shaped like x, takes |x|. x must not be empty."""
+def _message_scale(x: np.ndarray, out: np.ndarray, factors: int):
+    """The c with fl(d c) == log1p(d) - log1p(-d) for d = +-P, or None if
+    there is none: P is the one magnitude s of the sources x (None if they
+    differ or hold NaN) multiplied by itself left to right into a product of
+    factors, as a round multiplies the partner biases of a check. So every
+    partner product is +-P, and c turns each into its message with one
+    multiply; one c serves both signs, since d -> log1p(d) - log1p(-d) is odd
+    to the bit. The message is computed by a block's own ufunc chain, on a
+    one-element array. out, shaped like x, takes |x|; x must not be empty."""
     np.abs(x, out=out)
     s = out.min()
-    return float(s) if s == out.max() else 0.0
-
-
-def _message_scale(s: float, factors: int):
-    """The c with fl(d c) == log1p(d) - log1p(-d) for d = +-P, or None if
-    there is none: P is s multiplied by itself left to right into a product
-    of factors, as a round multiplies the partner biases of a check. So in a
-    round whose sources all have magnitude s, every partner product is +-P,
-    and c turns each into its message with one multiply. One c serves both
-    signs, since d -> log1p(d) - log1p(-d) is odd to the bit. The message is
-    computed by a block's own ufunc chain, on a one-element array."""
+    if s != out.max():
+        return None
     d = np.full(1, s)
     for _ in range(factors - 1):
         np.multiply(d, s, out=d)
@@ -304,11 +301,13 @@ def _bp_batch(
       And every message is +-f(P), since f(d) = log1p(d) - log1p(-d) is odd
       to the bit. So _message_scale computes f(P) once, by the same ufunc
       chain, and a block's log1p pair becomes one multiply by c = f(P)/P.
-      c is used only where fl(P c) == f(P). This happens in round 1 when the
-      two channel biases are exact negatives (+-0.8 at eps 0.1), and once
-      the beliefs are clamped, when the biases are +-(1 - 2^-52). It is
-      detected with no new temporary: |src| goes into nxt, or into g once
-      every belief of an extrinsic round sits at the clamp.
+      c is used only where fl(P c) == f(P). One test decides every round,
+      with no new temporary: slot 0's sources must share one magnitude,
+      their |src| going into nxt, and then in an extrinsic round after the
+      first so must every slot's, their |src| going into g. It passes in
+      round 1 when the two channel biases are exact negatives (+-0.8 at
+      eps 0.1), once the sources are clamped at +-(1 - 2^-52), and whenever
+      the batch is symmetric enough that every source has one magnitude.
     - The last requested round skips the settle compares, and an extrinsic
       one builds no per-edge biases (prefix copies, suffix sums, the tanh
       tail): none of the four outputs reads them.
@@ -331,7 +330,6 @@ def _bp_batch(
     src[-2:] = [[1.0], [0.0]]
     if extrinsic:
         g = np.empty((d_max, nv, t))
-        acc = np.empty_like(cur)
         new = np.empty_like(src)
         new[-2:] = src[-2:]
         src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
@@ -347,12 +345,9 @@ def _bp_batch(
             bias[0] = 0.0
         elif not extrinsic:
             src[:-2] = 2.0 * cur - 1.0
-        scale = None
-        if full and (rounds == 1 or not extrinsic):
-            scale = _message_scale(_magnitude(src[:nv], nxt), len(partners))
-        elif full and _magnitude(np.subtract(cur, 0.5, out=nxt), nxt) == 0.5 - _CLAMP:
-            # Every belief is clamped, so the per-edge biases may be too.
-            scale = _message_scale(_magnitude(src[:-2], g.reshape(n_src, t)), len(partners))
+        scale = _message_scale(src[:nv], nxt, len(partners)) if full else None
+        if scale is not None and extrinsic and rounds > 1:
+            scale = _message_scale(src[:-2], g.reshape(n_src, t), len(partners))
         for k0, k1 in blocks:
             msg, scratch = g[k0:k1] if extrinsic else g[: k1 - k0], tmp[: k1 - k0]
             np.take(src, partners[0, k0:k1], axis=0, out=msg, mode="clip")
@@ -396,14 +391,14 @@ def _bp_batch(
         if extrinsic:
             # Each edge's bias: lprior + (prefix + suffix), the prefix already in
             # place, the suffix of later slots added right to left (the last
-            # slot has none), then the tanh rule's tail, block by block.
-            suffix = None
+            # slot has none) and built up in the last slot's messages, which
+            # nothing reads again; then the tanh rule's tail, block by block.
+            suffix = g[-1]
             for k0, k1 in reversed(blocks):
-                for k in range(k1 - 1, k0 - 1, -1):
-                    if suffix is not None:
-                        np.add(bias[k], suffix, out=bias[k])
+                for k in range(min(k1, d_max - 1) - 1, k0 - 1, -1):
+                    np.add(bias[k], suffix, out=bias[k])
                     if k:
-                        suffix = g[k] if suffix is None else np.add(suffix, g[k], out=acc)
+                        np.add(suffix, g[k], out=suffix)
                 b = bias[k0:k1]
                 np.add(b, lprior, out=b)
                 np.divide(b, 2.0, out=b)
@@ -446,9 +441,12 @@ def bp_decode(
     iterations = check_count("iterations", iterations, 1)
     check_choice("schedule", schedule, SCHEDULES)
     try:
-        priors = np.asarray(priors, dtype=np.float64)
+        priors = np.asarray(priors)
+        if priors.dtype.kind == "c":  # a cast would drop the imaginary part, with a warning
+            raise TypeError
+        priors = priors.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("priors must be a rectangular table of numbers") from None
+        raise ConfigError("priors must be a rectangular table of real numbers") from None
     if priors.shape != (graph.n_vars, 2):
         raise DimensionError(f"priors must have shape ({graph.n_vars}, 2), got {priors.shape}")
     if not ((priors >= 0.0) & (priors <= 1.0)).all() or not np.allclose(priors.sum(axis=1), 1.0, atol=1e-9):

@@ -93,8 +93,8 @@ class SimConfig:
     The single place the sweep and cell settings are validated, and the
     one cell spec: run_cell builds a one-cell config, and the fields past
     the three sweep axes are run_cell's settings by name. Raises ConfigError.
-    Integer fields are kept as Python ints, whatever integer type they were
-    given as.
+    Integer fields are kept as Python ints and eps_values as Python floats,
+    whatever numeric type they were given as.
     """
 
     n_values: tuple[int, ...]
@@ -115,8 +115,7 @@ class SimConfig:
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty")
         self._set("n_values", tuple(check_count("n", n, 2, MAX_N) for n in self.n_values))
-        for e in self.eps_values:
-            check_epsilon(e)
+        self._set("eps_values", tuple(check_epsilon(e) for e in self.eps_values))
         for d in self.decoders:
             check_choice("decoder", d, DECODER_IDS)
         most_trials = np.iinfo(np.intp).max // num_pairs(max(self.n_values))
@@ -159,10 +158,6 @@ class SimResult:
     union_bound: float
     seed: int
     pair_failures: int = field(default=0, compare=False)
-
-    @property
-    def pair_fail_rate(self) -> float:
-        return self.pair_failures / self.trials
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,8 @@ def run_cell(
     """
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
-    (n,), trials, seed, bp_iterations = cell.n_values, cell.trials, cell.seed, cell.bp_iterations  # as ints
+    (n,), (epsilon,), trials = cell.n_values, cell.eps_values, cell.trials  # as Python ints and a float
+    seed, bp_iterations = cell.seed, cell.bp_iterations
     eps_index = check_count("eps_index", eps_index, 0)
     bp_graph = graph_for(graph, n) if decoder == "bp" else None
     block = _bp_rows(bp_graph, schedule) if decoder == "bp" else _draw_rows(n)

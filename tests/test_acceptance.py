@@ -75,7 +75,7 @@ def test_acceptance_3_bounds_dominate():
     worst = None
     for n, eps in itertools.product((10, 20, 40), (0.05, 0.1, 0.15, 0.2)):
         r = run_cell(n, eps, "majority", 10_000, SEED)
-        pair_rate = r.pair_fail_rate
+        pair_rate = r.pair_failures / r.trials
         sig_pair = math.sqrt(max(pair_rate * (1 - pair_rate), 1e-12) / r.trials)
         sig_word = math.sqrt(max(r.p_fail * (1 - r.p_fail), 1e-12) / r.trials)
         ok = ok and pair_rate <= r.chernoff + 3 * sig_pair

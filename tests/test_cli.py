@@ -194,6 +194,13 @@ class TestSimulateCmd:
         seed = int(err.split()[1])
         assert csv_row(out.strip().splitlines()[1])["seed"] == str(seed)
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "nan"), ("--n", "1"), ("--threads", "0"), ("--out", ".")])
+    def test_no_seed_echoed_for_a_refused_run(self, capsys, flag, value):
+        argv = {"--n": "3", "--eps": "0.1", "--trials": "5", flag: value}
+        code, out, err = run_cli(capsys, "simulate", *(t for item in argv.items() for t in item))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+
     def test_range_syntax(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--n", "2..4", "--eps", "0.1", "--trials", "5", "--seed", "1"

@@ -3,8 +3,8 @@
 Every public callable of `lhzcode` either returns or raises an `LhzError`
 when one of its parameters is replaced by a str, bool, None, nan, +-inf, a
 negative, a float, an int of 2**63 or more (up to 2**1100, past a float's
-range), a ragged nested list or a 2-D array, while the others keep small
-valid values. No warning may escape either. Huge ints go to sizes and keys,
+range), a ragged nested list, a 2-D or a complex array, while the others
+keep small valid values. No warning may escape either. Huge ints go to sizes and keys,
 which must refuse them or handle them at once. Work counts (`iterations`,
 `bp_iterations`) take any positive int by design, so a huge one asks for a
 long run rather than being bad input; they get every other kind of value.
@@ -105,7 +105,7 @@ def _ragged(rows):
 
 RAGGED = st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=2, max_size=3).filter(_ragged)
 ARRAYS = st.sampled_from([np.zeros((2, 3)), np.ones((3, 2), dtype=np.uint8), np.full((2, 2), 0.5),
-                          np.array([[1.5, -0.5]] * 3), np.array([["0", "1"]])])
+                          np.array([[1.5, -0.5]] * 3), np.array([["0", "1"]]), np.array([1 + 0j, 0j, 1 + 0j])])
 HUGE = st.integers(2**63, 2**1100)
 
 
@@ -213,4 +213,39 @@ FIXED_WIDTH = {
 def test_fixed_width_integers_give_the_plain_int_result(name, dtype):
     # repr tells a Python int from a numpy integer of the same value (numpy 2)
     got, want = FIXED_WIDTH[name](dtype), FIXED_WIDTH[name](int)
+    assert got == want and repr(got) == repr(want)
+
+
+# Every entry point that takes epsilon, given it as a numpy float16 or
+# float32. Each keeps it as the Python float of the same value and computes
+# with that: in the numpy type's own width 1 - eps would round, and
+# round(eps * 2**32) overflows float16.
+def _bytes(*arrays):
+    return tuple(a.tobytes() for a in arrays)
+
+
+NUMPY_FLOAT = {
+    "NoiseModel": lambda e: NoiseModel(e),
+    "channel_prior": lambda e: _bytes(lhzcode.channel_prior(WORD, NoiseModel(e))),
+    "apply_iid_flip": lambda e: _bytes(lhzcode.apply_iid_flip(np.zeros((40, 45), np.uint8), NoiseModel(e),
+                                                              lhzcode.stream(3))),
+    "mle_decode": lambda e: _bytes(lhzcode.mle_decode([0, 1, 1, 0, 0, 1], NoiseModel(e)).word),
+    "epsilon_star": lambda e: lhzcode.epsilon_star(e),
+    "chernoff_bound": lambda e: lhzcode.chernoff_bound(100, e),
+    "union_bound": lambda e: lhzcode.union_bound(100, e),
+    "SimConfig": lambda e: SimConfig((4,), (e, 0.2)),
+    "run_cell majority": lambda e: lhzcode.run_cell(20, e, "majority", 2000, 5),
+    "run_cell bp": lambda e: lhzcode.run_cell(12, e, "bp", 64, 5),
+    "run_sweep": lambda e: lhzcode.run_sweep(SimConfig((6,), (e,), ("majority", "bp", "mle"), 64, 1)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("name", NUMPY_FLOAT)
+def test_numpy_float_epsilon_gives_the_plain_float_result(name, dtype):
+    eps = dtype(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = NUMPY_FLOAT[name](eps), NUMPY_FLOAT[name](float(eps))
+    # repr tells a Python float from a numpy float of the same value
     assert got == want and repr(got) == repr(want)

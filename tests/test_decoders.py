@@ -529,6 +529,34 @@ class TestBpShortcuts:
         assert spy.calls == out[3] < 5
         assert spy.per_edge["log1p"] == set(range(2, out[3]))
 
+    def test_symmetric_batch_skips_log1p_every_round(self, monkeypatch):
+        # All-zero words with one prior on every variable: every per-edge bias
+        # of a round has one magnitude though no belief sits at the clamp, so
+        # no extrinsic round makes a per-edge log1p call. The bytes are the
+        # generic engine's.
+        graph = triangle_graph(6)
+        p0 = np.full((4, graph.n_vars), 0.7)
+        observed = np.zeros(p0.shape, dtype=np.uint8)
+        spy, out = _spied_bp_batch(monkeypatch, graph, p0, observed, 4, "extrinsic")
+        assert spy.calls == out[3] == 4
+        assert spy.per_edge["log1p"] == set()
+        _assert_matches_oracle(graph, p0, observed, 4, "extrinsic", "symmetric")
+
+    @pytest.mark.parametrize("row,mixed_round", [([1.0, 0.7, 1.0, 0.7, 1.0, 1.0], 2),
+                                                 ([0.7, 0.7, 1.0, 1.0, 0.7, 1.0], 3)])
+    def test_slot_zero_alone_does_not_decide_an_extrinsic_round(self, monkeypatch, row, mixed_round):
+        # Hard priors on some variables: in the mixed round every slot-0 bias
+        # sits at the clamp but some later-slot biases do not, so that round
+        # still makes per-edge log1p calls; the next, all clamped, makes none
+        # and repeats the state. Saturation hides a wrong message in the outputs.
+        graph = triangle_graph(4)
+        p0 = np.tile(row, (2, 1))
+        observed = np.zeros(p0.shape, dtype=np.uint8)
+        spy, out = _spied_bp_batch(monkeypatch, graph, p0, observed, 6, "extrinsic")
+        assert spy.calls == out[3] == mixed_round + 1
+        assert spy.per_edge["log1p"] == set(range(1, mixed_round + 1))
+        _assert_matches_oracle(graph, p0, observed, 6, "extrinsic", row)
+
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_padded_table_runs_log1p_every_round(self, monkeypatch, schedule):
         # The planar graph's table has pads, so no round takes the shortcut.

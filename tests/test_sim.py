@@ -188,6 +188,17 @@ class TestSimConfig:
                          id="majority-include_direct-array"),
             pytest.param(lambda: majority_vote_decode([0, 1, 1], include_direct=1), id="majority-include_direct-int"),
             pytest.param(lambda: as_bits([0, 1], batch="no"), id="as_bits-batch-string"),
+            # complex bits and priors are refused, not cast with a warning
+            pytest.param(lambda: as_bits(np.array([1 + 0j, 0j, 1 + 0j])), id="as_bits-complex"),
+            pytest.param(lambda: encode(np.array([[1 + 0j, 0j, 1 + 0j]])), id="encode-complex"),
+            pytest.param(lambda: majority_vote_decode(np.array([1 + 0j, 0j, 1 + 0j])), id="majority-complex"),
+            pytest.param(lambda: mle_decode(np.array([1 + 0j, 0j, 1 + 0j]), NoiseModel(0.1)), id="mle-complex"),
+            pytest.param(lambda: bp_decode(triangle_graph(3), np.full((3, 2), 0.5), observed=np.zeros(3, complex)),
+                         id="bp_decode-observed-complex"),
+            pytest.param(lambda: bp_decode(triangle_graph(3), np.full((3, 2), 0.5 + 0j)), id="bp_decode-complex"),
+            pytest.param(lambda: apply_iid_flip(np.zeros(3, complex), NoiseModel(0.1), stream(1)),
+                         id="apply_iid_flip-complex"),
+            pytest.param(lambda: channel_prior(np.zeros(3, complex), NoiseModel(0.1)), id="channel_prior-complex"),
         ],
     )
     def test_rejects(self, kw):
@@ -462,7 +473,7 @@ class TestRunCell:
     def test_majority_pair_rate_matches_exact(self):
         r = run_cell(10, 0.1, "majority", 4000, 11)
         exact = exact_majority_pair_fail(10, 0.1)
-        assert abs(r.pair_fail_rate - exact) < 4 * math.sqrt(exact * (1 - exact) / 4000)
+        assert abs(r.pair_failures / r.trials - exact) < 4 * math.sqrt(exact * (1 - exact) / 4000)
 
     def test_shared_noise_pairs_decoders(self, monkeypatch):
         seen = {}
