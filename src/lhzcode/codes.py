@@ -91,8 +91,10 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
         raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
     if np.issubdtype(a.dtype, np.integer):  # one min and one max, no per-element masks
         ok = a.size == 0 or (a.min() >= 0 and a.max() <= 1)
-    elif a.dtype.kind == "c":  # the cast below would drop the imaginary part, with a warning
-        raise ConfigError("bits must be real, got a complex array")
+    elif a.dtype.kind == "c" or (a.dtype == object and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat)):
+        # 1+0j == 1, so the 0/1 test would pass it; the cast below would then
+        # drop the imaginary part with a warning, or fail on a complex object
+        raise ConfigError("bits must be real, got complex numbers")
     else:
         ok = a.dtype == bool or np.all((a == 0) | (a == 1))
     if not ok:

@@ -15,6 +15,7 @@ at once as (trials, word) arrays; the Monte Carlo driver uses them directly.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -202,6 +203,43 @@ def _bp_rows(graph: FactorGraph, schedule: str) -> int:
     return max(1, min(rows, _BP_BLOCK_BYTES // (8 * d_max * nv)))
 
 
+def _slot_width(d_max: int, cells: int) -> int:
+    """Degree slots per block of a round whose slots hold cells float64 each:
+    as many as fit in _BP_SLOT_BYTES, one at least, d_max at most."""
+    return max(1, min(d_max, _BP_SLOT_BYTES // max(1, 8 * cells)))
+
+
+def _bp_buffers(graph: FactorGraph, schedule: str, trials: int) -> dict[str, np.ndarray]:
+    """_bp_batch's buffers for batches of at most trials trials on graph, by
+    name, each a flat float64 array: the beliefs cur and nxt, the prior LLRs
+    lprior, the sources src (and new, extrinsic), the messages g and the
+    scratch block tmp. run_cell sizes one set per cell, and every batch of
+    the cell carves its views from it."""
+    _, d_max, nv = _partners(graph, schedule).shape
+    extrinsic = schedule == "extrinsic"
+    cells, width = nv * trials, _slot_width(d_max, nv * trials)
+    sizes = {"cur": cells, "nxt": cells, "lprior": cells, "src": ((d_max * nv if extrinsic else nv) + 2) * trials,
+             "g": (d_max if extrinsic else width) * cells, "tmp": width * cells}
+    if extrinsic:
+        sizes["new"] = sizes["src"]
+    return {name: np.empty(size) for name, size in sizes.items()}
+
+
+def _carve(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The C-contiguous view of shape at the front of the flat array."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray, flags: np.ndarray) -> bool:
+    """Whether the float64 arrays a and b hold the same bit patterns (so -0.0
+    differs from +0.0), compared a chunk at a time into the flat bool array
+    flags, with no temporary; a chunk that differs ends the test."""
+    a, b = a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64)
+    step = max(1, flags.size)
+    return all(np.equal(a[i : i + step], b[i : i + step], out=flags[: min(step, a.size - i)]).all()
+               for i in range(0, a.size, step))
+
+
 def _hard(p0: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Hard decisions, (trials, n_vars) uint8, from (n_vars, trials) beliefs p0:
     above 1/2 gives 0, below gives 1, and anything else (an exact tie, NaN)
@@ -227,7 +265,8 @@ def _message_scale(x: np.ndarray, out: np.ndarray, factors: int):
     partner product is +-P, and c turns each into its message with one
     multiply; one c serves both signs, since d -> log1p(d) - log1p(-d) is odd
     to the bit. The message is computed by a block's own ufunc chain, on a
-    one-element array. out, shaped like x, takes |x|; x must not be empty."""
+    one-element array, under _bp_batch's errstate (log1p(-1) divides by
+    zero). out, shaped like x, takes |x|; x must not be empty."""
     np.abs(x, out=out)
     s = out.min()
     if s != out.max():
@@ -238,9 +277,8 @@ def _message_scale(x: np.ndarray, out: np.ndarray, factors: int):
     if not d[0] > 0.0:
         return None
     e = np.negative(d)
-    with np.errstate(divide="ignore"):
-        np.log1p(e, out=e)
-        f = np.log1p(d)
+    np.log1p(e, out=e)
+    f = np.log1p(d)
     np.subtract(f, e, out=f)
     c = f / d
     return float(c[0]) if d * c == f else None
@@ -252,6 +290,8 @@ def _bp_batch(
     observed: np.ndarray,
     iterations: int,
     schedule: str,
+    *,
+    buffers: Optional[dict] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run message passing on a (trials, n_vars) batch.
 
@@ -282,15 +322,19 @@ def _bp_batch(
     one block of scratch, and no per-edge array. The extrinsic schedule
     holds every slot's messages, which the suffix sums need, plus its two
     source buffers of per-edge biases: each round writes its biases into the
-    other one, so the previous ones stay to compare with. All buffers are
-    allocated once per call, and every round writes into them with out=.
-    Gathers use mode="clip", which np.take does not buffer; the tables hold
-    no index out of range. A variable's messages are added one degree slot at
-    a time, left to right, as are the prefix sums of the extrinsic pass, and
-    its suffix sums right to left: numpy's own reductions add pairwise along
-    a contiguous axis, so a batch of one trial would round differently from
-    a larger one. With the order written out, a trial's beliefs depend on
-    neither its batch nor the block size.
+    other one, so the previous ones stay to compare with. The buffers are
+    per cell: buffers, from _bp_buffers, serves every batch of up to the
+    trials it was sized for, and each call carves C-contiguous prefix views
+    sized for its own batch from it (without it, the call sizes its own).
+    Every step writes into those views with out=, so a round allocates no
+    array, and the returned beliefs are a copy. Gathers use mode="clip",
+    which np.take does not buffer; the tables hold no index out of range. A
+    variable's messages are added one degree slot at a time, left to right,
+    as are the prefix sums of the extrinsic pass, and its suffix sums right
+    to left: numpy's own reductions add pairwise along a contiguous axis, so
+    a batch of one trial would round differently from a larger one. With the
+    order written out, a trial's beliefs depend on neither its batch, nor the
+    block size, nor the buffers.
 
     Two shortcuts skip work whose result is known, and change no byte. Each
     is chosen from the round's own data.
@@ -309,108 +353,112 @@ def _bp_batch(
       eps 0.1), once the sources are clamped at +-(1 - 2^-52), and whenever
       the batch is symmetric enough that every source has one magnitude.
     - The last requested round skips the settle compares, and an extrinsic
-      one builds no per-edge biases (prefix copies, suffix sums, the tanh
+      one builds no per-edge biases (prefix sums, suffix sums, the tanh
       tail): none of the four outputs reads them.
     """
     extrinsic = schedule == "extrinsic"
     partners = _partners(graph, schedule)
     _, d_max, nv = partners.shape
     t = p0.shape[0]
-    cur = np.array(p0.T, dtype=np.float64, order="C")
-    nxt = np.empty_like(cur)
-    with np.errstate(divide="ignore"):
-        lprior = np.log(cur) - np.log1p(-cur)
-    width = max(1, min(d_max, _BP_SLOT_BYTES // max(1, 8 * nv * t)))
+    buf = _bp_buffers(graph, schedule, t) if buffers is None else buffers
+    n_src = d_max * nv if extrinsic else nv
+    # A shorter batch than the buffers' may take wider blocks, as far as tmp holds them.
+    width = min(_slot_width(d_max, nv * t), max(1, buf["tmp"].size // max(1, nv * t)))
     blocks = [(k0, min(k0 + width, d_max)) for k0 in range(0, d_max, width)]
-    tmp = np.empty((width, nv, t))
+    cur, nxt, lprior = (_carve(buf[name], nv, t) for name in ("cur", "nxt", "lprior"))
+    tmp = _carve(buf["tmp"], width, nv, t)
+    flags = buf["tmp"].view(np.bool_)  # scratch for the NaN test and the settle compares
     # Each edge reads its partners' biases d = p0 - p1 from src: one per variable
     # (belief) or per edge (extrinsic, from the prior on), then the constants 1, 0.
-    n_src = d_max * nv if extrinsic else nv
-    src = np.empty((n_src + 2, t))
+    src = _carve(buf["src"], n_src + 2, t)
     src[-2:] = [[1.0], [0.0]]
-    if extrinsic:
-        g = np.empty((d_max, nv, t))
-        new = np.empty_like(src)
-        new[-2:] = src[-2:]
-        src[:-2].reshape(d_max, nv, t)[...] = 2.0 * cur - 1.0
-    else:
-        g = np.empty_like(tmp)
     # No pad index in the table: every check has its weight, every variable d_max checks.
     full = cur.size > 0 and graph.entries.size == graph.n_checks * (len(partners) + 1) == d_max * nv
-    for rounds in range(1, iterations + 1):
-        # The last round's per-edge biases would go unread.
-        edges = extrinsic and rounds < iterations
-        if edges:
-            bias = new[:-2].reshape(d_max, nv, t)
-            bias[0] = 0.0
-        elif not extrinsic:
-            src[:-2] = 2.0 * cur - 1.0
-        scale = _message_scale(src[:nv], nxt, len(partners)) if full else None
-        if scale is not None and extrinsic and rounds > 1:
-            scale = _message_scale(src[:-2], g.reshape(n_src, t), len(partners))
-        for k0, k1 in blocks:
-            msg, scratch = g[k0:k1] if extrinsic else g[: k1 - k0], tmp[: k1 - k0]
-            np.take(src, partners[0, k0:k1], axis=0, out=msg, mode="clip")
-            for p in partners[1:]:
-                np.take(src, p[k0:k1], axis=0, out=scratch, mode="clip")
-                np.multiply(msg, scratch, out=msg)
-            if scale is not None:
-                np.multiply(msg, scale, out=msg)
-            else:
-                np.negative(msg, out=scratch)
-                with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.copyto(cur, p0.T, casting="unsafe")
+        np.log(cur, out=lprior)
+        np.negative(cur, out=nxt)
+        np.log1p(nxt, out=nxt)
+        np.subtract(lprior, nxt, out=lprior)
+        if extrinsic:
+            g = _carve(buf["g"], d_max, nv, t)
+            new = _carve(buf["new"], n_src + 2, t)
+            new[-2:] = src[-2:]
+            np.multiply(cur, 2.0, out=src[:nv])
+            np.subtract(src[:nv], 1.0, out=src[:nv])
+            np.copyto(src[nv:-2].reshape(d_max - 1, nv, t), src[:nv])
+        else:
+            g = _carve(buf["g"], width, nv, t)
+        for rounds in range(1, iterations + 1):
+            # The last round's per-edge biases would go unread.
+            edges = extrinsic and rounds < iterations
+            if edges:
+                bias = new[:-2].reshape(d_max, nv, t)
+                bias[0] = 0.0
+            elif not extrinsic:
+                np.multiply(cur, 2.0, out=src[:-2])
+                np.subtract(src[:-2], 1.0, out=src[:-2])
+            scale = _message_scale(src[:nv], nxt, len(partners)) if full else None
+            if scale is not None and extrinsic and rounds > 1:
+                scale = _message_scale(src[:-2], g.reshape(n_src, t), len(partners))
+            for k0, k1 in blocks:
+                msg, scratch = g[k0:k1] if extrinsic else g[: k1 - k0], tmp[: k1 - k0]
+                np.take(src, partners[0, k0:k1], axis=0, out=msg, mode="clip")
+                for p in partners[1:]:
+                    np.take(src, p[k0:k1], axis=0, out=scratch, mode="clip")
+                    np.multiply(msg, scratch, out=msg)
+                if scale is not None:
+                    np.multiply(msg, scale, out=msg)
+                else:
+                    np.negative(msg, out=scratch)
                     np.log1p(scratch, out=scratch)
                     np.log1p(msg, out=msg)
-                np.subtract(msg, scratch, out=msg)
-            # nxt takes the sum of messages, slot by slot; on the way, the
-            # running sum is the prefix the extrinsic pass needs.
-            with np.errstate(invalid="ignore"):
+                    np.subtract(msg, scratch, out=msg)
+                # Messages are summed slot by slot into nxt; a round that builds
+                # biases keeps each prefix sum, the slots before k, in bias[k].
                 for k, m in enumerate(msg, k0):
+                    acc = bias[k + 1] if edges and k + 1 < d_max else nxt
                     if k == 0:
-                        np.copyto(nxt, m)
-                        continue
-                    if edges:
-                        np.copyto(bias[k], nxt)
-                    np.add(nxt, m, out=nxt)
-        with np.errstate(invalid="ignore"):
+                        np.copyto(acc, m)
+                    else:
+                        np.add(bias[k] if edges else nxt, m, out=acc)
             np.add(nxt, lprior, out=nxt)
-        # +inf meeting -inf: hard evidence for both values of one variable.
-        if np.isnan(nxt).any():
-            raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
-        np.negative(nxt, out=nxt)
-        with np.errstate(over="ignore"):
+            # +inf meeting -inf: hard evidence for both values of one variable.
+            if np.isnan(nxt, out=_carve(flags, nv, t)).any():
+                raise InconsistentEvidenceError("conflicting hard evidence wiped out both hypotheses")
+            np.negative(nxt, out=nxt)
             np.exp(nxt, out=nxt)
-        np.add(nxt, 1.0, out=nxt)
-        np.divide(1.0, nxt, out=nxt)
-        np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
-        cur, nxt = nxt, cur
-        if rounds == iterations:
-            break
-        # Bit patterns: only equal bytes are sure to give an equal next round (-0.0 == +0.0).
-        settled = np.array_equal(cur.view(np.uint64), nxt.view(np.uint64))
-        if extrinsic:
-            # Each edge's bias: lprior + (prefix + suffix), the prefix already in
-            # place, the suffix of later slots added right to left (the last
-            # slot has none) and built up in the last slot's messages, which
-            # nothing reads again; then the tanh rule's tail, block by block.
-            suffix = g[-1]
-            for k0, k1 in reversed(blocks):
-                for k in range(min(k1, d_max - 1) - 1, k0 - 1, -1):
-                    np.add(bias[k], suffix, out=bias[k])
-                    if k:
-                        np.add(suffix, g[k], out=suffix)
-                b = bias[k0:k1]
-                np.add(b, lprior, out=b)
-                np.divide(b, 2.0, out=b)
-                np.tanh(b, out=b)
-                np.clip(b, -_BIAS_MAX, _BIAS_MAX, out=b)
-            settled = settled and np.array_equal(new.view(np.uint64), src.view(np.uint64))
-            src, new = new, src
-        if settled:
-            break
+            np.add(nxt, 1.0, out=nxt)
+            np.divide(1.0, nxt, out=nxt)
+            np.clip(nxt, _CLAMP, 1.0 - _CLAMP, out=nxt)
+            cur, nxt = nxt, cur
+            if rounds == iterations:
+                break
+            settled = _same_bits(cur, nxt, flags)
+            if extrinsic:
+                # Each edge's bias: lprior + (prefix + suffix), the prefix already in
+                # place, the suffix of later slots added right to left (the last
+                # slot has none) and built up in the last slot's messages, which
+                # nothing reads again; then the tanh rule's tail, block by block.
+                suffix = g[-1]
+                for k0, k1 in reversed(blocks):
+                    for k in range(min(k1, d_max - 1) - 1, k0 - 1, -1):
+                        np.add(bias[k], suffix, out=bias[k])
+                        if k:
+                            np.add(suffix, g[k], out=suffix)
+                    b = bias[k0:k1]
+                    np.add(b, lprior, out=b)
+                    np.multiply(b, 0.5, out=b)
+                    np.tanh(b, out=b)
+                    np.clip(b, -_BIAS_MAX, _BIAS_MAX, out=b)
+                settled = settled and _same_bits(new[:-2], src[:-2], flags)
+                src, new = new, src
+            if settled:
+                break
     # After the swap, nxt holds the beliefs of the round before the last.
     hard = _hard(cur, observed)
-    return cur.T, hard, (hard == _hard(nxt, observed)).all(axis=1), rounds
+    converged = (hard == _hard(nxt, observed)).all(axis=1)
+    return cur.copy().T, hard, converged, rounds
 
 
 def bp_decode(

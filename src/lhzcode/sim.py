@@ -14,7 +14,9 @@ order, or threads.
 run_cell's block loop is the only loop over a cell's trials, and each block
 is sized by bytes: majority and mle cells take 1024 trials at a time, fewer
 past n = 91 so that a block's raw flip words stay within 16 MiB (_draw_rows);
-message passing takes the batch decoders._bp_rows sizes.
+message passing takes the batch decoders._bp_rows sizes. A bp cell sizes
+one set of message-passing buffers (decoders._bp_buffers) for that batch,
+and every batch of the cell, the shorter last one included, reuses it.
 
 run_sweep runs one (decoder, n) group at a time on each worker, and a bp
 group holds its graph while its eps cells run, so graph_for hands each cell
@@ -33,7 +35,7 @@ import numpy as np
 
 from .channel import NoiseModel, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
-from .decoders import SCHEDULES, _bp_batch, _bp_rows, _majority_batch, _mle_batch, epsilon_star
+from .decoders import SCHEDULES, _bp_batch, _bp_buffers, _bp_rows, _majority_batch, _mle_batch, epsilon_star
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
@@ -217,9 +219,11 @@ def _draw_rows(n: int) -> int:
     return max(1, min(_DRAW_BLOCK, _DRAW_BYTES // (8 * ((num_pairs(n) + 1) // 2))))
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None) -> np.ndarray:
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None,
+                        buffers: dict | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config; graph is the cell's constraint graph (bp) or None."""
+    config; graph and buffers are the cell's constraint graph and
+    message-passing buffers (bp) or None."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
         return _majority_batch(obs, n, cell.include_direct)
@@ -227,7 +231,7 @@ def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | N
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
     p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
-    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule)
+    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule, buffers=buffers)
     return hard[:, consecutive_indices(n)]
 
 
@@ -264,12 +268,14 @@ def run_cell(
     eps_index = check_count("eps_index", eps_index, 0)
     bp_graph = graph_for(graph, n) if decoder == "bp" else None
     block = _bp_rows(bp_graph, schedule) if decoder == "bp" else _draw_rows(n)
+    # One set of message-passing buffers, sized once, serves every batch of the cell.
+    buffers = _bp_buffers(bp_graph, schedule, min(block, trials)) if decoder == "bp" else None
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
         true, obs = _draw_words(cell, rngs, min(block, trials - lo))
         true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell, bp_graph)
+        decoded = _decode_consecutive(obs, cell, bp_graph, buffers)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials

@@ -105,7 +105,8 @@ def _ragged(rows):
 
 RAGGED = st.lists(st.lists(st.integers(0, 1), max_size=3), min_size=2, max_size=3).filter(_ragged)
 ARRAYS = st.sampled_from([np.zeros((2, 3)), np.ones((3, 2), dtype=np.uint8), np.full((2, 2), 0.5),
-                          np.array([[1.5, -0.5]] * 3), np.array([["0", "1"]]), np.array([1 + 0j, 0j, 1 + 0j])])
+                          np.array([[1.5, -0.5]] * 3), np.array([["0", "1"]]), np.array([1 + 0j, 0j, 1 + 0j]),
+                          np.array([1 + 0j, 0, 1 + 0j], dtype=object)])
 HUGE = st.integers(2**63, 2**1100)
 
 

@@ -33,9 +33,11 @@ from lhzcode import (
     stream,
     triangle_graph,
     planar_lhz_graph,
+    run_cell,
 )
 import lhzcode.decoders
-from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _majority_batch, _mle_batch
+import lhzcode.sim
+from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _bp_buffers, _bp_rows, _majority_batch, _mle_batch
 
 from reference import (
     consecutive_bits,
@@ -574,6 +576,90 @@ class TestBpShortcuts:
         spy, out = _spied_bp_batch(monkeypatch, graph, priors["uniform"], observed, iterations, "extrinsic")
         assert out[3] == spy.calls == iterations
         assert spy.per_edge["tanh"] == set(range(1, iterations))
+
+
+class TestBpBuffers:
+    """One set of _bp_buffers serves every batch of a cell. A batch run
+    through reused buffers returns the bytes of a call that sizes its own,
+    and its beliefs are its own: a later batch does not write into them. The
+    planar table has pads, the triangle one none."""
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["slot-bytes", "tight"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("graph", [triangle_graph(12), planar_lhz_graph(20)], ids=["tri12", "planar20"])
+    def test_reused_buffers_match_fresh_calls(self, monkeypatch, graph, schedule, tight):
+        # Batch A, then a shorter batch B, then A again, through one set of
+        # buffers sized for A. "tight" gives a block 1.5 slots' bytes of A, so
+        # A's rounds take one slot per block; B's 9 trials would take 5 by
+        # bytes, more than tmp holds, and take the 3 it holds.
+        t = 33
+        if tight:
+            monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 12 * graph.n_vars * t)
+        observed, priors = _exit_batch(graph, 0.1, t=t)
+        batches = [(priors["hard"], observed), (priors["uniform"][:9], observed[:9])]
+        fresh = [_bp_batch(graph, p0, obs, 6, schedule) for p0, obs in batches]
+        buffers = _bp_buffers(graph, schedule, t)
+        runs = []
+        for i in (0, 1, 0):
+            runs.append(_bp_batch(graph, *batches[i], 6, schedule, buffers=buffers))
+            assert not any(np.shares_memory(runs[-1][0], b) for b in buffers.values())
+            for a, b in zip(runs[-1], fresh[i]):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            # A's beliefs are unchanged by every later batch.
+            assert runs[0][0].tobytes() == fresh[0][0].tobytes()
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_cell_sizes_its_buffers_once(self, monkeypatch, schedule):
+        # A three-batch cell, the last batch short, sizes one set of buffers
+        # for a whole batch and hands it to each of its _bp_batch calls.
+        sized, handed = [], []
+        make, run = lhzcode.sim._bp_buffers, lhzcode.sim._bp_batch
+
+        def sizes(graph, schedule, trials):
+            sized.append(trials)
+            return make(graph, schedule, trials)
+
+        def batch(*args, buffers=None):
+            handed.append(buffers)
+            return run(*args, buffers=buffers)
+
+        monkeypatch.setattr(lhzcode.sim, "_bp_buffers", sizes)
+        monkeypatch.setattr(lhzcode.sim, "_bp_batch", batch)
+        graph = lhzcode.sim.graph_for("planar", 20)  # held, so the cell decodes on it
+        rows = _bp_rows(graph, schedule)
+        run_cell(20, 0.1, "bp", 2 * rows + 5, 1, graph="planar", schedule=schedule)
+        assert sized == [rows] and len(handed) == 3
+        assert all(b is handed[0] for b in handed) and handed[0] is not None
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_batch_given_buffers_allocates_below_one_block(monkeypatch, schedule):
+    # Triangle n = 20, 32 trials, 5 rounds, given its buffers: the peak of
+    # the rounds, read when the first hard decisions start, and the peak
+    # above the arrays the call returns (the beliefs are a fresh copy) each
+    # stay below one (n_vars, trials) float64 block, 48640 bytes. An
+    # extrinsic call that sizes its own buffers peaks at 64 blocks.
+    graph, t = triangle_graph(20), 32
+    observed, priors = _exit_batch(graph, 0.1, t=t)
+    buffers = _bp_buffers(graph, schedule, t)
+    _bp_batch(graph, priors["uniform"], observed, 5, schedule, buffers=buffers)  # numpy's first-use costs
+    hard, peaks = lhzcode.decoders._hard, []
+
+    def spy(p0, observed):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return hard(p0, observed)
+
+    monkeypatch.setattr(lhzcode.decoders, "_hard", spy)
+    tracemalloc.start()
+    try:
+        out = _bp_batch(graph, priors["uniform"], observed, 5, schedule, buffers=buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = graph.n_vars * t * 8
+    assert out[3] == 5
+    assert peaks[0] < block
+    assert peak - sum(a.nbytes for a in out[:3]) < block
 
 
 class TestBpTreeExactness:

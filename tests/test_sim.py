@@ -199,6 +199,8 @@ class TestSimConfig:
             pytest.param(lambda: apply_iid_flip(np.zeros(3, complex), NoiseModel(0.1), stream(1)),
                          id="apply_iid_flip-complex"),
             pytest.param(lambda: channel_prior(np.zeros(3, complex), NoiseModel(0.1)), id="channel_prior-complex"),
+            # a complex object passes the 0/1 test, since 1+0j == 1
+            pytest.param(lambda: as_bits(np.array([1 + 0j, 0, 1], dtype=object)), id="as_bits-complex-object"),
         ],
     )
     def test_rejects(self, kw):
