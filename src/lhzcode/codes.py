@@ -91,7 +91,8 @@ def as_bits(seq, *, batch: bool = False) -> np.ndarray:
         raise DimensionError(f"expected a 1-D bit sequence{' or a 2-D batch' if batch else ''}, got shape {a.shape}")
     if np.issubdtype(a.dtype, np.integer):  # one min and one max, no per-element masks
         ok = a.size == 0 or (a.min() >= 0 and a.max() <= 1)
-    elif a.dtype.kind == "c" or (a.dtype == object and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat)):
+    elif a.dtype.kind == "c" or (a.dtype == object
+                                 and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat)):
         # 1+0j == 1, so the 0/1 test would pass it; the cast below would then
         # drop the imaginary part with a warning, or fail on a complex object
         raise ConfigError("bits must be real, got complex numbers")

@@ -589,9 +589,9 @@ class TestBpBuffers:
     @pytest.mark.parametrize("graph", [triangle_graph(12), planar_lhz_graph(20)], ids=["tri12", "planar20"])
     def test_reused_buffers_match_fresh_calls(self, monkeypatch, graph, schedule, tight):
         # Batch A, then a shorter batch B, then A again, through one set of
-        # buffers sized for A. "tight" gives a block 1.5 slots' bytes of A, so
-        # A's rounds take one slot per block; B's 9 trials would take 5 by
-        # bytes, more than tmp holds, and take the 3 it holds.
+        # buffers sized for A. "tight" sets the slot budget to 1.5 of A's
+        # slots, so A's rounds take one slot per block; by bytes B's 9 trials
+        # would take up to 5, more than tmp holds, so they take the 3 it holds.
         t = 33
         if tight:
             monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 12 * graph.n_vars * t)
@@ -603,8 +603,9 @@ class TestBpBuffers:
         for i in (0, 1, 0):
             runs.append(_bp_batch(graph, *batches[i], 6, schedule, buffers=buffers))
             assert not any(np.shares_memory(runs[-1][0], b) for b in buffers.values())
-            for a, b in zip(runs[-1], fresh[i]):
-                assert np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert runs[-1][3] == fresh[i][3]
+            for a, b in zip(runs[-1][:3], fresh[i][:3]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             # A's beliefs are unchanged by every later batch.
             assert runs[0][0].tobytes() == fresh[0][0].tobytes()
 
