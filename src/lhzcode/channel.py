@@ -12,6 +12,8 @@ from .errors import check_count, check_epsilon, check_type
 
 __all__ = ["NoiseModel", "stream", "apply_iid_flip", "channel_prior"]
 
+_FLIP_CHUNK = 32768  # raw 64-bit outputs drawn and thresholded at a time by apply_iid_flip
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -48,20 +50,27 @@ def apply_iid_flip(g, model: NoiseModel, rng: np.random.Generator) -> np.ndarray
     each into two 32-bit halves, low half first; bit j flips when half j is
     below thr, and an odd k drops its last half. So a batch flips the same
     bits as its rows flipped one after another from the same rng.
+    The raw outputs are drawn and thresholded _FLIP_CHUNK (256 KiB) at a time
+    into a one-byte mask per half, so a batch never holds its raw outputs
+    whole: 1024 words at n = 40 hold 0.8 MiB of mask, not 3.0 MiB of raw
+    outputs. The chunk size changes no output bit and no rng state.
     """
     check_type("model", model, NoiseModel)
     check_type("rng", rng, np.random.Generator)
     g = as_bits(g, batch=True)  # a fresh array, flipped in place below
     *rows, k = g.shape
     words = (k + 1) // 2
-    raw = rng.bit_generator.random_raw(math.prod(rows) * words)
-    # Little-endian uint64 seen as uint32 pairs puts the low half first on any
-    # host: a no-op on little-endian ones, a byteswap on big-endian ones.
-    halves = raw.astype("<u8", copy=False).view("<u4").reshape(*rows, 2 * words)[..., :k]
+    outputs, thr = math.prod(rows) * words, np.uint32(round(model.epsilon * 2**32))
+    mask = np.empty(2 * outputs, dtype=bool)
+    for lo in range(0, outputs, _FLIP_CHUNK):
+        # Little-endian uint64 seen as uint32 pairs puts the low half first on
+        # any host: a no-op on little-endian ones, a byteswap on big-endian ones.
+        chunk = rng.bit_generator.random_raw(min(_FLIP_CHUNK, outputs - lo))
+        np.less(chunk.astype("<u8", copy=False).view("<u4"), thr, out=mask[2 * lo : 2 * (lo + chunk.size)])
     # The flips are copied into g's memory order first (encode's words are
     # column-major): numpy xors two arrays of different orders far slower.
     flips = np.empty_like(g, dtype=bool)
-    np.copyto(flips, halves < np.uint32(round(model.epsilon * 2**32)))
+    np.copyto(flips, mask.reshape(*rows, 2 * words)[..., :k])
     g ^= flips
     return g
 

@@ -49,7 +49,9 @@ SCHEDULES = ("belief", "extrinsic")
 
 # 2^(n-1) candidates get enumerated; past this the search is hopeless anyway.
 MLE_MAX_LOGICAL = 24
-_MLE_BLOCK_BYTES = 4 << 20  # per float32 score block: trials * candidates * 4
+# What one block of a majority or mle cell holds at once (sim._draw_rows), and
+# each float32 score block of the exhaustive search: trials * candidates * 4.
+_BLOCK_BYTES = 1 << 20
 _BP_TRIALS = 32  # per message-passing batch at least, fewer past triangle n = 40 (_bp_rows)
 _BP_BLOCK_BYTES = 8 << 20  # per float64 per-edge array of a batch: max_degree * n_vars * trials * 8
 _BP_SLOT_BYTES = 256 << 10  # per block of degree slots a round works on: slots * n_vars * trials * 8
@@ -85,7 +87,17 @@ def epsilon_star(epsilon: float) -> float:
 
 # ---------------------------------------------------------------- majority
 
-def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarray:
+def _majority_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-n index arrays of _majority_batch: the pair matrix's
+    upper-triangle cells, their mirror cells, and the consecutive pair indices.
+    At n = 1000 they cost about 7 ms, 1.7 ms for the cells and 5 ms for their
+    mirror, so a cell makes them once and hands them to each of its blocks."""
+    up = _upper_cells(n)
+    return up, (up % n) * n + up // n, consecutive_indices(n)
+
+
+def _majority_batch(words: np.ndarray, n: int, include_direct: bool, *,
+                    tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Majority decisions for the consecutive bits, (trials, n-1).
 
     The words go into the symmetric pair matrix M, (n, n, trials) with
@@ -96,19 +108,21 @@ def _majority_batch(words: np.ndarray, n: int, include_direct: bool) -> np.ndarr
     smallest unsigned type that holds n, uint8 up to n = 255: a one wins when
     ones > total // 2 and a zero when ones < (total + 1) // 2, comparisons
     that cannot overflow, and the tie rule is boolean operations on them, so
-    nothing is widened to int64.
+    nothing is widened to int64. tables is _majority_tables(n), made here
+    when not given. A block holds M and the xor of its rows, about 2 n^2
+    bytes a trial, which sim._draw_rows counts against its budget.
     Its speed depends on the words' memory order, not its output: M is
     filled a word position at a time, so the column-major words
     sim._draw_words hands it run about 2.7 times as fast as a row-major
     copy: 0.61 against 1.65 ms at n=40 and 1024 trials (timeit, best of 10,
     numpy 2.4.6, 2 vCPUs)."""
-    up = _upper_cells(n)
+    up, mirror, cons = _majority_tables(n) if tables is None else tables
     m = np.zeros((n * n, words.shape[0]), dtype=np.uint8)
     m[up] = words.T
-    m[(up % n) * n + up // n] = words.T
+    m[mirror] = words.T
     m = m.reshape(n, n, -1)
     ones = np.bitwise_xor(m[:-1], m[1:]).sum(axis=1, dtype=np.min_scalar_type(n)).T
-    observed = words[:, consecutive_indices(n)]
+    observed = words[:, cons]
     ones -= observed
     ones -= observed
     total = n - 2
@@ -557,8 +571,10 @@ def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
     Ties go to the lexicographically smallest: argmax keeps the first maximum of a
     block's (a, l) rows, and across blocks only a strictly higher score displaces
     the holder. Trial blocks run outside, row blocks inside, each score block
-    within _MLE_BLOCK_BYTES (one trial and one row at least). Past n = MLE_MAX_LOGICAL
-    it refuses.
+    within _BLOCK_BYTES, 1 MiB (one trial and one row at least), the budget
+    that sizes the cell's blocks of words too (sim._draw_rows): 32 trials of
+    8192 candidates at n = 14, where a 200-trial cell peaks at 1.3 MiB under
+    tracemalloc. Past n = MLE_MAX_LOGICAL it refuses.
     """
     if n > MLE_MAX_LOGICAL:
         raise CapacityError(
@@ -578,7 +594,7 @@ def _mle_batch(words: np.ndarray, n: int) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     hi_idx, lo_idx = np.flatnonzero(ju < m), np.flatnonzero(iu >= m)
     cross_idx = np.flatnonzero((iu < m) & (ju >= m))  # row i holds (i, m..n-1) in order
-    budget = _MLE_BLOCK_BYTES // 4
+    budget = _BLOCK_BYTES // 4
     t_rows = max(1, min(t, budget // (rows * cols)))
     a_rows = max(1, min(rows, budget // cols))
     buf = np.empty(t_rows * a_rows * cols, dtype=np.float32)

@@ -12,9 +12,13 @@ prefix-stable in trials and byte-identical under any block size, cell
 order, or threads.
 
 run_cell's block loop is the only loop over a cell's trials, and each block
-is sized by bytes: majority and mle cells take 1024 trials at a time, fewer
-past n = 91 so that a block's raw flip words stay within 16 MiB (_draw_rows);
-message passing takes the batch decoders._bp_rows sizes. A bp cell sizes
+is sized by bytes: a majority or mle block takes as many trials as keep what
+it holds at once within decoders._BLOCK_BYTES, 1 MiB (_draw_rows), which
+also bounds each score block of the search. A 1024-trial majority cell at
+n = 40 peaks at 1.0 MiB under tracemalloc, and an mle one at n = 14 at
+1.6 MiB. The per-n index arrays those blocks read are made once per cell,
+so that one-trial blocks at large n do not rebuild them. Message
+passing takes the batch decoders._bp_rows sizes. A bp cell sizes
 one set of message-passing buffers (decoders._bp_buffers) for that batch,
 and every batch of the cell, the shorter last one included, reuses it.
 
@@ -35,7 +39,17 @@ import numpy as np
 
 from .channel import NoiseModel, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
-from .decoders import SCHEDULES, _bp_batch, _bp_buffers, _bp_rows, _majority_batch, _mle_batch, epsilon_star
+from .decoders import (
+    _BLOCK_BYTES,
+    SCHEDULES,
+    _bp_batch,
+    _bp_buffers,
+    _bp_rows,
+    _majority_batch,
+    _majority_tables,
+    _mle_batch,
+    epsilon_star,
+)
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph
 
@@ -61,8 +75,6 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (kind, n) 
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
-_DRAW_BLOCK = 1024      # trials per block of majority and mle cells, fewer past n = 91 (_draw_rows)
-_DRAW_BYTES = 16 << 20  # per block's raw flip words: trials * ceil(k/2) * 8, 3.0 MiB at n = 40
 _HALF = np.uint64(1 << 63)  # a raw output below it is a bit of 1, as its uniform (raw >> 11) * 2^-53 < 1/2
 
 
@@ -213,26 +225,36 @@ def _draw_words(cell: SimConfig, rngs: tuple, rows: int) -> tuple[np.ndarray, np
 
 
 def _draw_rows(n: int) -> int:
-    """Trials per block of a majority or mle cell: _DRAW_BLOCK, fewer (at least
-    one) where the block's raw flip words would pass _DRAW_BYTES, 8 at n = 1000.
-    It sizes memory, never output."""
-    return max(1, min(_DRAW_BLOCK, _DRAW_BYTES // (8 * ((num_pairs(n) + 1) // 2))))
+    """Trials per block of a majority or mle cell: as many as keep what the
+    block holds at once within _BLOCK_BYTES, one at least. A trial holds
+    4k bytes of words (its true and observed words, and apply_iid_flip's flip
+    mask and flips) and 2 n^2 bytes of majority's pair matrix and the xor of
+    its rows: 165 trials at n = 40, one from n = 363. It sizes memory, never
+    output."""
+    return max(1, _BLOCK_BYTES // (4 * num_pairs(n) + 2 * n * n))
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig, graph: FactorGraph | None,
-                        buffers: dict | None) -> np.ndarray:
+def _decode_consecutive(obs: np.ndarray, cell: SimConfig, cons: np.ndarray, graph: FactorGraph | None,
+                        buffers: dict | None, tables: tuple | None) -> np.ndarray:
     """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config; graph and buffers are the cell's constraint graph and
-    message-passing buffers (bp) or None."""
+    config. cons is consecutive_indices(n); graph and buffers are the cell's
+    constraint graph and message-passing buffers (bp) or None, and tables its
+    vote index arrays (majority) or None."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
-        return _majority_batch(obs, n, cell.include_direct)
+        return _majority_batch(obs, n, cell.include_direct, tables=tables)
     if decoder == "mle":
         b = _mle_batch(obs, n)
         return b[:, :-1] ^ b[:, 1:]
-    p0 = np.where(obs == 0, 1.0 - epsilon, epsilon)
-    _, hard, _, _ = _bp_batch(graph, p0, obs, cell.bp_iterations, cell.schedule, buffers=buffers)
-    return hard[:, consecutive_indices(n)]
+    # A prior is 1 - eps where the bit is 0 and eps where it is 1, picked by bit
+    # pattern: np.where's bytes in a fifth of its time (21 against 115 us at
+    # planar n=40 and 32 trials; timeit, 2 vCPUs).
+    hi, lo = np.array([1.0 - epsilon, epsilon]).view(np.uint64)
+    p0 = obs.astype(np.uint64)
+    p0 *= hi ^ lo
+    p0 ^= hi
+    _, hard, _, _ = _bp_batch(graph, p0.view(np.float64), obs, cell.bp_iterations, cell.schedule, buffers=buffers)
+    return hard[:, cons]
 
 
 def run_cell(
@@ -270,12 +292,15 @@ def run_cell(
     block = _bp_rows(bp_graph, schedule) if decoder == "bp" else _draw_rows(n)
     # One set of message-passing buffers, sized once, serves every batch of the cell.
     buffers = _bp_buffers(bp_graph, schedule, min(block, trials)) if decoder == "bp" else None
+    # The per-n index arrays every block reads are made once per cell too.
+    cons = consecutive_indices(n)
+    tables = _majority_tables(n) if decoder == "majority" else None
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
         true, obs = _draw_words(cell, rngs, min(block, trials - lo))
-        true = true[:, consecutive_indices(n)]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell, bp_graph, buffers)
+        true = true[:, cons]  # scoring reads only these; the full words go before decoding
+        decoded = _decode_consecutive(obs, cell, cons, bp_graph, buffers, tables)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials

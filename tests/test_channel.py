@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lhzcode.channel
 from lhzcode import ConfigError, DimensionError, NoiseModel, apply_iid_flip, channel_prior, stream
 
 # SHA-256 of the flips of a (64, 45) zero batch at eps 0.1 from stream(2024, 7).
@@ -124,6 +125,34 @@ class TestApplyFlip:
         ones = np.ones(4000, dtype=np.uint8)
         out = apply_iid_flip(ones, NoiseModel(0.2), stream(9))
         assert abs((out == 0).mean() - 0.2) < 4 * np.sqrt(0.2 * 0.8 / 4000)
+
+
+class TestChunkedDraw:
+    # apply_iid_flip draws and thresholds its raw outputs _FLIP_CHUNK at a
+    # time; any chunk gives the bytes of the split raw words of one whole draw
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(7, 8), (7, 45), (8,), (45,), (2, 0), (0, 8), (0, 45)])
+    @pytest.mark.parametrize("chunk", ["one", "odd", "whole"])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk, shape, order):
+        *rows, k = shape
+        words = (k + 1) // 2
+        raw_count = math.prod(rows) * words
+        # 5 outputs split a trial of 4 (k = 8) or 23 (k = 45) outputs
+        monkeypatch.setattr(lhzcode.channel, "_FLIP_CHUNK", {"one": 1, "odd": 5, "whole": max(1, raw_count)}[chunk])
+        g = np.random.default_rng(k).integers(0, 2, size=shape, dtype=np.uint8)
+        g = np.asfortranarray(g) if order == "F" else np.ascontiguousarray(g)
+        kept = g.copy(order="A")
+        ref = stream(42, 9).bit_generator
+        raw = ref.random_raw(raw_count).reshape(*rows, words)
+        halves = np.empty((*rows, 2 * words), dtype=np.uint64)
+        halves[..., 0::2], halves[..., 1::2] = raw & 0xFFFFFFFF, raw >> 32
+        expected = g ^ (halves[..., :k] < round(0.3 * 2**32))
+        rng = stream(42, 9)
+        out = apply_iid_flip(g, NoiseModel(0.3), rng)
+        assert out.dtype == np.uint8 and out.shape == shape and out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.random_raw() == ref.random_raw()
+        assert g.flags.c_contiguous == kept.flags.c_contiguous and g.tobytes(order="A") == kept.tobytes(order="A")
+        assert out is not g
 
 
 class TestChannelPrior:

@@ -1114,7 +1114,7 @@ class TestMleAgainstDistance:
                 return np.matmul(*args, **kwargs)
 
         monkeypatch.setattr(lhzcode.decoders, "np", Spy())
-        monkeypatch.setattr(lhzcode.decoders, "_MLE_BLOCK_BYTES", budget)
+        monkeypatch.setattr(lhzcode.decoders, "_BLOCK_BYTES", budget)
         assert np.array_equal(_mle_batch(words, n), want)
         # trial blocks outside, high-row blocks inside, every candidate of every trial once
         t = len(words)
@@ -1145,9 +1145,9 @@ def test_split_search_at_every_size(n, kind, trials):
 
 
 def test_search_memory_stays_within_its_blocks():
-    # Every score block is held to _MLE_BLOCK_BYTES. A kernel that built the
-    # cross terms of the whole batch at once, (1024, 256, 9) float32 or 9.4 MB,
-    # next to one score block, would pass the bound.
+    # Every score block is held to _BLOCK_BYTES, and the operands of a block of
+    # trials are far smaller. A kernel that built the cross terms of the whole
+    # batch at once, (1024, 256, 9) float32 or 9.4 MB, would break the bound.
     n = 18
     words = _noisy_words(n, 0.1, 1024, seed=4)
     tracemalloc.start()
@@ -1156,7 +1156,7 @@ def test_search_memory_stays_within_its_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * lhzcode.decoders._MLE_BLOCK_BYTES
+    assert peak <= 2 * lhzcode.decoders._BLOCK_BYTES
 
 
 def test_blas_threads_do_not_change_the_words(tmp_path):

@@ -40,8 +40,8 @@ from lhzcode import (
     triangle_graph,
     union_bound,
 )
-from lhzcode.decoders import SCHEDULES, _bp_rows
-from lhzcode.sim import _DRAW_BLOCK, DECODER_IDS, _draw_words, _streams, graph_for
+from lhzcode.decoders import _BLOCK_BYTES, SCHEDULES, _bp_rows
+from lhzcode.sim import DECODER_IDS, _draw_rows, _draw_words, _streams, graph_for
 
 from reference import exact_majority_pair_fail, pair_index, syndrome
 
@@ -217,9 +217,10 @@ def _cell(n=5, trials=30, decoder="majority", eps=0.2, seed=9, all_zero=False):
     return SimConfig((n,), (eps,), (decoder,), trials, seed, all_zero=all_zero)
 
 
-def _draw(cell, eps_index, block=_DRAW_BLOCK):
+def _draw(cell, eps_index, block=None):
     """A cell's true and observed words, (trials, k) each, drawn from its two
-    streams in blocks of the given size, as run_cell draws them."""
+    streams in blocks of the given size, by default run_cell's."""
+    block = block or _draw_rows(cell.n_values[0])
     rngs = _streams(cell, eps_index)
     blocks = [_draw_words(cell, rngs, min(block, cell.trials - lo)) for lo in range(0, cell.trials, block)]
     return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -228,8 +229,9 @@ def _draw(cell, eps_index, block=_DRAW_BLOCK):
 class TestDrawWords:
     def test_trial_streams_are_prefix_stable(self):
         # the longer cell crosses a block boundary; the shorter ones do not
-        long = _draw(_cell(trials=_DRAW_BLOCK + 5), 0)
-        for trials in (40, _DRAW_BLOCK, _DRAW_BLOCK + 1):
+        rows = _draw_rows(5)
+        long = _draw(_cell(trials=rows + 5), 0)
+        for trials in (40, rows, rows + 1):
             short = _draw(_cell(trials=trials), 0)
             assert (long[0][:trials] == short[0]).all()
             assert (long[1][:trials] == short[1]).all()
@@ -252,7 +254,7 @@ class TestDrawWords:
     def test_one_row_per_trial_drawn(self):
         # the benchmark's trace counts trials drawn by the rows of the first item
         rngs = _streams(_cell(), 0)
-        for rows in (1, 7, _DRAW_BLOCK):
+        for rows in (1, 7, _draw_rows(5)):
             true, obs = _draw_words(_cell(), rngs, rows)
             assert true.shape == obs.shape == (rows, 10)
 
@@ -274,7 +276,7 @@ class TestDrawWords:
 
         monkeypatch.setattr(lhzcode.sim, "stream", counting)
         calls = []
-        for trials in (1, 50, 2 * _DRAW_BLOCK + 3):
+        for trials in (1, 50, 2 * _draw_rows(5) + 3):
             for all_zero in (False, True):
                 keys.clear()
                 run_cell(5, 0.1, "majority", trials, 3, all_zero=all_zero)
@@ -328,30 +330,67 @@ class TestRunCell:
         drawn = []
         draw = lhzcode.sim._draw_words
         monkeypatch.setattr(lhzcode.sim, "_draw_words", lambda c, rngs, k: drawn.append(k) or draw(c, rngs, k))
-        monkeypatch.setattr(lhzcode.sim, "_DRAW_BLOCK", rows)
+        monkeypatch.setattr(lhzcode.sim, "_draw_rows", lambda n: rows)
         monkeypatch.setattr(lhzcode.decoders, "_BP_TRIALS", rows)
         monkeypatch.setattr(lhzcode.decoders, "_BP_SLOT_BYTES", 1)
         assert cell() == whole
         assert drawn == [rows] * (100 // rows) + [100 % rows] * (100 % rows > 0)
 
     @pytest.mark.parametrize("decoder,n,trials,rows", [
-        ("majority", 40, 2049, 1024),
-        ("mle", 12, 1025, 1024),
-        ("majority", 91, 1025, 1024),
-        ("majority", 92, 1003, 1001),
-        ("majority", 1000, 17, 8),
+        ("majority", 40, 1025, 165),
+        ("mle", 12, 1900, 1899),
+        ("majority", 91, 63, 31),
+        ("majority", 362, 5, 2),
+        ("majority", 363, 3, 1),
+        ("majority", 1000, 3, 1),
     ])
     def test_draw_rows_are_sized_by_bytes(self, monkeypatch, decoder, n, trials, rows):
-        # majority and mle blocks are _DRAW_BLOCK trials through n = 91, then
-        # as many as keep the raw flip words, ceil(k/2) outputs of 8 bytes a
-        # trial, within 16 MiB: 8 at n = 1000, where 1024 trials took 1.9 GiB
+        # majority and mle blocks take as many trials as keep what they hold
+        # within _BLOCK_BYTES, one at least: 4k bytes of words, flip mask and
+        # flips, and 2 n^2 of majority's pair matrix and its row xor a trial
         drawn = []
         draw = lhzcode.sim._draw_words
         monkeypatch.setattr(lhzcode.sim, "_draw_words", lambda c, rngs, k: drawn.append(k) or draw(c, rngs, k))
         run_cell(n, 0.1, decoder, trials, 1)
         assert drawn == [rows] * (trials // rows) + [trials % rows] * (trials % rows > 0)
-        raw = 8 * ((num_pairs(n) + 1) // 2)
-        assert rows == _DRAW_BLOCK or rows * raw <= 16 << 20 < (rows + 1) * raw
+        held = 4 * num_pairs(n) + 2 * n * n
+        assert rows * held <= _BLOCK_BYTES < (rows + 1) * held or (rows == 1 and held > _BLOCK_BYTES)
+
+    @pytest.mark.parametrize("decoder,n,factor", [("majority", 40, 1.5), ("mle", 14, 2)])
+    def test_block_stays_within_the_budget(self, decoder, n, factor):
+        # A cell's peak is one block's: its words, flip mask and flips, then
+        # majority's pair matrix and row xor, all within _BLOCK_BYTES, or the
+        # words and one score block of the search, each within _BLOCK_BYTES.
+        # 1024-trial blocks peaked at 6.1 MiB (majority, 3.0 of it raw flip
+        # words) and 5.2 MiB (mle, 4 of it one score block).
+        run_cell(n, 0.1, decoder, 1, 1)  # first-use costs are paid before the peak
+        tracemalloc.start()
+        try:
+            run_cell(n, 0.1, decoder, 1024, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factor * _BLOCK_BYTES
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.17, 0.5, np.float16(0.1)])
+    def test_bp_priors_are_the_channel_probabilities(self, monkeypatch, eps):
+        # run_cell picks each prior's float64 bit pattern by the observed bit:
+        # the bytes of np.where(obs == 0, 1 - eps, eps), and a float16 epsilon
+        # gives those of its Python float
+        seen = []
+        bp = lhzcode.sim._bp_batch
+
+        def spy(graph, p0, obs, *args, **kwargs):
+            seen.append((p0, obs))
+            return bp(graph, p0, obs, *args, **kwargs)
+
+        monkeypatch.setattr(lhzcode.sim, "_bp_batch", spy)
+        run_cell(12, eps, "bp", 40, 3)
+        e = float(eps)
+        assert seen
+        for p0, obs in seen:
+            want = np.where(obs == 0, 1.0 - e, e)
+            assert p0.dtype == np.float64 and p0.shape == want.shape and p0.tobytes() == want.tobytes()
 
     def test_memory_does_not_grow_with_trials(self):
         # a cell keeps one block of trials at a time, however many it runs
@@ -363,7 +402,8 @@ class TestRunCell:
             finally:
                 tracemalloc.stop()
 
-        assert peak(16 * _DRAW_BLOCK) <= 1.5 * peak(_DRAW_BLOCK)
+        rows = _draw_rows(40)
+        assert peak(16 * rows) <= 1.5 * peak(rows)
 
     def test_bp_memory_does_not_grow_with_trials(self):
         # past triangle n = 40 a message-passing batch holds fewer than 32
