@@ -13,7 +13,6 @@ from .codes import (
     as_bits,
     consecutive_indices,
     encode,
-    index_pair,
     logical_from_consecutive,
     num_logical,
     num_pairs,
@@ -31,7 +30,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     InconsistentEvidenceError,
-    InvalidPairError,
     LhzError,
 )
 from .factor_graph import FactorGraph, planar_lhz_graph, triangle_graph

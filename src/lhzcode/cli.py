@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 
 from .channel import NoiseModel, channel_prior
-from .codes import as_bits, index_pair, logical_from_consecutive, num_logical, pair_table
+from .codes import as_bits, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
 from .errors import CapacityError, ConfigError, DimensionError, LhzError, check_count
 from .sim import DECODER_IDS, GRAPH_KINDS, SimConfig, SimResult, chernoff_bound, graph_for, run_sweep, union_bound
@@ -197,9 +197,8 @@ def cmd_decode(args) -> int:
         print("degenerate: yes")
     if out.beliefs is not None:
         print("beliefs:")
-        for v in range(word.size):
-            i, j = index_pair(v, n)
-            print(f"  g({i},{j}): p0={_fmt(out.beliefs[v, 0])} p1={_fmt(out.beliefs[v, 1])}")
+        for (i, j), (p0, p1) in zip(pair_table(n), out.beliefs):
+            print(f"  g({i},{j}): p0={_fmt(p0)} p1={_fmt(p1)}")
     return 0
 
 

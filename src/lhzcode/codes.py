@@ -15,12 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InvalidPairError, check_count, check_type
+from .errors import ConfigError, DimensionError, check_count, check_type
 
 __all__ = [
     "num_pairs",
     "num_logical",
-    "index_pair",
     "pair_table",
     "as_bits",
     "encode",
@@ -57,16 +56,6 @@ def _upper_cells(n: int) -> np.ndarray:
     """Flat indices into an n x n matrix of its cells (i, j), i < j, zero-based,
     in pair index order."""
     return np.flatnonzero(np.arange(n)[:, None] < np.arange(n))
-
-
-def index_pair(k: int, n: int) -> tuple[int, int]:
-    """Pair (i, j) sitting at linear index k, the inverse of the pair order."""
-    k, n = check_count("k", k), check_count("n", n, 2)
-    if not 0 <= k < num_pairs(n):
-        raise InvalidPairError(f"index {k} out of range for n={n} ({num_pairs(n)} pairs)")
-    # Row i is the least with (n-i)(n-i+1)/2 above the count of pairs after k.
-    i = n - (math.isqrt(8 * (num_pairs(n) - 1 - k) + 1) + 1) // 2
-    return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
 def pair_table(n: int) -> tuple[tuple[int, int], ...]:

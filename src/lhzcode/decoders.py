@@ -33,7 +33,7 @@ from .codes import (
 )
 from .errors import CapacityError, ConfigError, DimensionError, InconsistentEvidenceError
 from .errors import check_choice, check_count, check_epsilon, check_type
-from .factor_graph import FactorGraph
+from .factor_graph import _INT32_MAX, FactorGraph
 
 __all__ = [
     "DecodeOutcome",
@@ -161,17 +161,22 @@ def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
     edges stand for bias 1, which pads short checks, and bias 0, which pads
     the slots of variables in fewer than max_degree checks, whose message is
     then 0. Each call builds the table of its schedule only, read straight
-    from the graph's int32 arrays; _partners keeps it."""
+    from the graph's int32 arrays; _partners keeps it. A graph whose edge
+    indices, with the two pads, pass int32 raises CapacityError before any
+    slot or table array is made: only a tuple-built graph can, and its table
+    would hold about 2^31 entries or more."""
     nv, nc, var = graph.n_vars, graph.n_checks, graph.entries
     lens = np.diff(graph.offsets)
+    deg = np.bincount(var, minlength=nv)
+    d_max, w = max(1, int(deg.max(initial=0))), max(2, int(lens.max(initial=0)))
+    if d_max * nv + 2 > _INT32_MAX:
+        raise CapacityError(f"a partner table of {nv} variables of degree {d_max} passes the int32 limit")
     # Edge e is position pos[e] of check chk[e] and slot slot[e] of variable
     # var[e]. Edges run check-major, so a stable sort by variable lists each
     # variable's checks in check order.
     chk = np.repeat(np.arange(nc, dtype=np.int32), lens)
     pos = np.arange(var.size, dtype=np.int32) - np.repeat(graph.offsets[:-1], lens)
-    deg = np.bincount(var, minlength=nv)
-    d_max, w = max(1, int(deg.max(initial=0))), max(2, int(lens.max(initial=0)))
-    slot = np.empty(var.size, dtype=np.int32 if d_max * nv + 2 <= np.iinfo(np.int32).max else np.intp)
+    slot = np.empty(var.size, dtype=np.int32)
     slot[np.argsort(var, kind="stable")] = np.arange(var.size) - np.repeat(np.cumsum(deg) - deg, deg)
     edge = slot * nv + var
     del slot

@@ -10,15 +10,12 @@ class LhzError(Exception):
     """Base class for everything raised deliberately by this package."""
 
 
-class InvalidPairError(LhzError, ValueError):
-    """Pair (i, j) outside 1 <= i < j <= n, or a linear index out of range."""
-
-
 class ConfigError(LhzError, ValueError):
     """A value of the wrong type or outside its domain: a size, count or key,
     epsilon, decoder, graph, schedule, a typed model/graph/config/generator,
-    bits, ragged arrays, prior rows, check indices, an unreadable command
-    line number, or an output path that cannot be opened for writing."""
+    bits, ragged arrays, prior rows, check indices, a repeated n or decoder
+    of a sweep, an unreadable command line number, or an output path that
+    cannot be opened for writing."""
 
 
 class DimensionError(LhzError, ValueError):

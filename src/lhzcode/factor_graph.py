@@ -35,7 +35,8 @@ class FactorGraph:
     variables back to back, and offsets, n_checks + 1 of them, so check c is
     entries[offsets[c]:offsets[c + 1]]. checks is their tuple view, built on
     first access. Variable indices past int32 raise CapacityError. Graphs
-    compare and hash by identity.
+    compare and hash by identity, and a pickled or deep-copied graph keeps
+    its arrays read-only.
     """
 
     def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
@@ -62,6 +63,10 @@ class FactorGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"FactorGraph is immutable: cannot set {name}")
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild a graph through _adopt, so a copy's arrays are read-only too
+        return _adopted, (self.n_vars, self.entries, self.offsets)
+
     @property
     def n_checks(self) -> int:
         return self.offsets.size - 1
@@ -83,8 +88,14 @@ def _stacked(n_vars: int, *blocks: np.ndarray) -> FactorGraph:
         offsets.append(top + b.shape[1] * np.arange(1, len(b) + 1, dtype=np.int32))
         top += b.size
     entries = blocks[0].ravel() if len(blocks) == 1 else np.concatenate([b.ravel() for b in blocks])
+    return _adopted(n_vars, entries, np.concatenate(offsets))
+
+
+def _adopted(n_vars: int, entries: np.ndarray, offsets: np.ndarray) -> FactorGraph:
+    """The graph that keeps int32 entries and offsets as they are, unchecked:
+    a built-in constructor's, or those of a graph being unpickled or copied."""
     graph = FactorGraph.__new__(FactorGraph)
-    graph._adopt(n_vars, entries, np.concatenate(offsets))
+    graph._adopt(n_vars, entries, offsets)
     return graph
 
 

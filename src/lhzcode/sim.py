@@ -11,16 +11,18 @@ outputs per trial (n bits, ceil(k/2) for k flips), so results are
 prefix-stable in trials and byte-identical under any block size, cell
 order, or threads.
 
-run_cell's block loop is the only loop over a cell's trials, and each block
-is sized by bytes: a majority or mle block takes as many trials as keep what
-it holds at once within decoders._BLOCK_BYTES, 1 MiB (_draw_rows), which
-also bounds each score block of the search. A 1024-trial majority cell at
-n = 40 peaks at 1.0 MiB under tracemalloc, and an mle one at n = 14 at
-1.6 MiB. The per-n index arrays those blocks read are made once per cell,
-so that one-trial blocks at large n do not rebuild them. Message
-passing takes the batch decoders._bp_rows sizes. A bp cell sizes
-one set of message-passing buffers (decoders._bp_buffers) for that batch,
-and every batch of the cell, the shorter last one included, reuses it.
+run_cell's block loop is the only loop over a cell's trials. Before it,
+_cell_decoder sets the cell up once: it sizes the block and makes the block
+decoder, with everything its blocks read. A majority or mle block takes as
+many trials as keep what it holds at once within decoders._BLOCK_BYTES,
+1 MiB (_draw_rows), which also bounds each score block of the search. A
+1024-trial majority cell at n = 40 peaks at 1.0 MiB under tracemalloc, and
+an mle one at n = 14 at 1.6 MiB. Majority's per-n index arrays are made once
+per cell, so that one-trial blocks at large n do not rebuild them. Message
+passing takes the batch decoders._bp_rows sizes, and a bp cell sizes one set
+of message-passing buffers (decoders._bp_buffers) for that batch, which every
+batch of the cell, the shorter last one included, reuses. Its priors come
+from the channel's one prior rule.
 
 run_sweep runs one (decoder, n) group at a time on each worker, and a bp
 group holds its graph while its eps cells run, so graph_for hands each cell
@@ -32,12 +34,13 @@ from __future__ import annotations
 import math
 import os
 import weakref
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import NoiseModel, apply_iid_flip, stream
+from .channel import NoiseModel, _prior_p0, apply_iid_flip, stream
 from .codes import MAX_N, consecutive_indices, encode, num_pairs
 from .decoders import (
     _BLOCK_BYTES,
@@ -132,6 +135,12 @@ class SimConfig:
         self._set("eps_values", tuple(check_epsilon(e) for e in self.eps_values))
         for d in self.decoders:
             check_choice("decoder", d, DECODER_IDS)
+        # A repeated n or decoder would key the same streams and print a row twice;
+        # a repeated eps value is another slot, with streams of its own.
+        for name in ("n_values", "decoders"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} may not repeat a value, got {values!r}")
         most_trials = np.iinfo(np.intp).max // num_pairs(max(self.n_values))
         self._set("trials", check_count("trials", self.trials, 1, most_trials))
         self._set("seed", check_count("seed", self.seed, 0))
@@ -234,27 +243,28 @@ def _draw_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (4 * num_pairs(n) + 2 * n * n))
 
 
-def _decode_consecutive(obs: np.ndarray, cell: SimConfig, cons: np.ndarray, graph: FactorGraph | None,
-                        buffers: dict | None, tables: tuple | None) -> np.ndarray:
-    """Decoded consecutive bits, (rows, n-1), of one block of a one-cell
-    config. cons is consecutive_indices(n); graph and buffers are the cell's
-    constraint graph and message-passing buffers (bp) or None, and tables its
-    vote index arrays (majority) or None."""
+def _cell_decoder(cell: SimConfig, cons: np.ndarray) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """The block size of a one-cell config and its block decoder, which maps a
+    block's observed words to their decoded consecutive bits, (rows, n-1).
+    cons is consecutive_indices(n). What every block reads is made here, once
+    per cell: majority's index tables, or bp's graph and message-passing
+    buffers. The kernels are looked up in this module at each call."""
     (n,), (epsilon,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
     if decoder == "majority":
-        return _majority_batch(obs, n, cell.include_direct, tables=tables)
+        tables = _majority_tables(n)
+        return _draw_rows(n), lambda obs: _majority_batch(obs, n, cell.include_direct, tables=tables)
     if decoder == "mle":
-        b = _mle_batch(obs, n)
-        return b[:, :-1] ^ b[:, 1:]
-    # A prior is 1 - eps where the bit is 0 and eps where it is 1, picked by bit
-    # pattern: np.where's bytes in a fifth of its time (21 against 115 us at
-    # planar n=40 and 32 trials; timeit, 2 vCPUs).
-    hi, lo = np.array([1.0 - epsilon, epsilon]).view(np.uint64)
-    p0 = obs.astype(np.uint64)
-    p0 *= hi ^ lo
-    p0 ^= hi
-    _, hard, _, _ = _bp_batch(graph, p0.view(np.float64), obs, cell.bp_iterations, cell.schedule, buffers=buffers)
-    return hard[:, cons]
+        def mle(obs):
+            b = _mle_batch(obs, n)
+            return b[:, :-1] ^ b[:, 1:]
+
+        return _draw_rows(n), mle
+    graph = graph_for(cell.graph, n)
+    rows = _bp_rows(graph, cell.schedule)
+    buffers = _bp_buffers(graph, cell.schedule, min(rows, cell.trials))  # every batch of the cell reuses them
+    # The hard words, _bp_batch's second output, at the consecutive pairs.
+    return rows, lambda obs: _bp_batch(graph, _prior_p0(obs, epsilon), obs, cell.bp_iterations, cell.schedule,
+                                       buffers=buffers)[1][:, cons]
 
 
 def run_cell(
@@ -281,26 +291,22 @@ def run_cell(
     which makes paired comparisons sharp. The settings are checked by the
     one-cell SimConfig they make up, so bad input raises ConfigError
     before any trial runs, and a constraint graph past its size limit
-    raises CapacityError before anything is built.
+    raises CapacityError before anything is built. _cell_decoder then
+    sizes the blocks and makes their decoder once for the cell, and each
+    block is drawn, decoded and scored on the consecutive pairs.
     """
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
     (n,), (epsilon,), trials = cell.n_values, cell.eps_values, cell.trials  # as Python ints and a float
-    seed, bp_iterations = cell.seed, cell.bp_iterations
     eps_index = check_count("eps_index", eps_index, 0)
-    bp_graph = graph_for(graph, n) if decoder == "bp" else None
-    block = _bp_rows(bp_graph, schedule) if decoder == "bp" else _draw_rows(n)
-    # One set of message-passing buffers, sized once, serves every batch of the cell.
-    buffers = _bp_buffers(bp_graph, schedule, min(block, trials)) if decoder == "bp" else None
-    # The per-n index arrays every block reads are made once per cell too.
     cons = consecutive_indices(n)
-    tables = _majority_tables(n) if decoder == "majority" else None
+    block, decode = _cell_decoder(cell, cons)
     rngs = _streams(cell, eps_index)
     failures = pair_failures = 0
     for lo in range(0, trials, block):
         true, obs = _draw_words(cell, rngs, min(block, trials - lo))
         true = true[:, cons]  # scoring reads only these; the full words go before decoding
-        decoded = _decode_consecutive(obs, cell, cons, bp_graph, buffers, tables)
+        decoded = decode(obs)
         failures += int((decoded != true).any(axis=1).sum())
         pair_failures += int((decoded[:, 0] != true[:, 0]).sum())
     p_fail = failures / trials
@@ -310,14 +316,14 @@ def run_cell(
         graph=graph,
         n=n,
         epsilon=epsilon,
-        iterations=bp_iterations if decoder == "bp" else 0,
+        iterations=cell.bp_iterations if decoder == "bp" else 0,
         trials=trials,
         failures=failures,
         p_fail=p_fail,
         stderr=stderr,
         chernoff=chernoff_bound(n, epsilon),
         union_bound=union_bound(n, epsilon),
-        seed=seed,
+        seed=cell.seed,
         pair_failures=pair_failures,
     )
 

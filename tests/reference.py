@@ -8,8 +8,8 @@ the candidates in the package's counter order, and the slot-major LLR engine
 at the end. The first helpers are test-only: the [7,4] Hamming graph, the one
 fixture that is not a pairwise-parity layout, the syndrome, rank and codeword
 set of a graph's check matrix over GF(2), the linear index of a pair (checked
-with the package's own count rule), and the gauge-fixed readout and
-consecutive-pair slice of a physical word.
+with the package's own count rule) and its closed-form inverse, and the
+gauge-fixed readout and consecutive-pair slice of a physical word.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from lhzcode import (
     CapacityError,
     FactorGraph,
     InconsistentEvidenceError,
-    InvalidPairError,
+    LhzError,
     as_bits,
     encode,
     num_logical,
@@ -79,6 +79,10 @@ def enumerate_codewords(graph):
     return words
 
 
+class InvalidPairError(LhzError, ValueError):
+    """Pair (i, j) outside 1 <= i < j <= n, or a linear index out of range."""
+
+
 def pair_index(i, j, n):
     """Linear index of the pair (i, j) with 1 <= i < j <= n: the pairs of the
     rows before i, then those of row i before j."""
@@ -86,6 +90,18 @@ def pair_index(i, j, n):
     if not 1 <= i < j <= n:
         raise InvalidPairError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     return sum(n - row for row in range(1, i)) + (j - i - 1)
+
+
+def index_pair(k, n):
+    """Pair (i, j) sitting at linear index k, the inverse of pair_index, in
+    closed form: row i is the least with (n-i)(n-i+1)/2 above the count of
+    pairs after k."""
+    k, n = check_count("k", k), check_count("n", n, 2)
+    pairs = n * (n - 1) // 2
+    if not 0 <= k < pairs:
+        raise InvalidPairError(f"index {k} out of range for n={n} ({pairs} pairs)")
+    i = n - (math.isqrt(8 * (pairs - 1 - k) + 1) + 1) // 2
+    return i, k - (i - 1) * (2 * n - i) // 2 + i + 1
 
 
 def logical_readout(g):

@@ -170,3 +170,12 @@ class TestChannelPrior:
     def test_half_is_flat(self):
         pri = channel_prior([0, 1, 1], NoiseModel(0.5))
         assert (pri == 0.5).all()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.17, 0.5, np.float16(0.1), np.float32(0.3)], ids=repr)
+    def test_bytes_of_the_where_rule(self, eps):
+        # the bit-pattern select gives np.where's bytes, p1 = 1 - p0 included,
+        # and a numpy float epsilon those of its Python float
+        bits = np.random.default_rng(5).integers(0, 2, 45, dtype=np.uint8)
+        p0 = np.where(bits == 0, 1.0 - float(eps), float(eps))
+        pri = channel_prior(bits, NoiseModel(eps))
+        assert pri.dtype == np.float64 and pri.tobytes() == np.stack([p0, 1.0 - p0], axis=1).tobytes()

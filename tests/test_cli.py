@@ -120,6 +120,31 @@ class TestDecodeCmd:
         code, _, err = run_cli(capsys, "decode", "000001", "--n", "5")
         assert code == 1 and "does not match" in err
 
+    # sha256 of the whole stdout at n = 2, 4 and 5, so a changed pair name,
+    # belief or line shows; each bp belief line names its pair from pair_table
+    FROZEN = {
+        ("1", "majority"): "2241ecd0e9f7b051ac32bcfe00d84e424cfabd59a42b5af6384ab4d0f4a60eb3",
+        ("1", "mle"): "87fcd2b39fb10a8c926806da2bffe86d2d7f526c9e276bd56d4fbfa387787c71",
+        ("1", "bp-belief"): "cc3172aaffd6981f146067d1f0fd79386c2c778d060d9154b313f98cf83661fa",
+        ("1", "bp-extrinsic"): "cc3172aaffd6981f146067d1f0fd79386c2c778d060d9154b313f98cf83661fa",
+        ("011010", "majority"): "2f0c943c71f6e5972b600e570d76dccb71ceafb033a1ac2d3bf22c6f49ddefa2",
+        ("011010", "mle"): "864e7192b10b1130744b04279f2e4846bb20471f5217f116934ef964c06f82f8",
+        ("011010", "bp-belief"): "f6f91ce38de8a6140f2435f38b97ebeb4c9d42242fc16aa0e3fac3d69326bd32",
+        ("011010", "bp-extrinsic"): "61a740bbd4e07be40d9f0d1dc87b24ac2a0500311ca84041b40c7202be428f31",
+        ("0110011001", "majority"): "5801273a3a0ace1c7f0c8765410fb1950c01018c58f759fb0c1f548d18c7d15d",
+        ("0110011001", "mle"): "8a2ac655d41f4b1e62bae29e71564bb17129f9581cecc5e9f3a9b706eb874de0",
+        ("0110011001", "bp-belief"): "485545003475462df98c9e34fa1cf8d5b2657c5bbcc121fa5258da8613327511",
+        ("0110011001", "bp-extrinsic"): "e79bc6e6d9ab2b2fc7c849037bb21c9de3d9150de0c4dfadd2e29f29c047bc27",
+    }
+
+    @pytest.mark.parametrize("word, decoder", list(FROZEN), ids=[f"{w}-{d}" for w, d in FROZEN])
+    def test_frozen_bytes(self, capsys, word, decoder):
+        name, _, schedule = decoder.partition("-")
+        code, out, err = run_cli(capsys, "decode", word, "--decoder", name, "--eps", "0.13", "--iterations", "3",
+                                 *(["--schedule", schedule] if schedule else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FROZEN[word, decoder]
+
     def test_capacity_exit(self, capsys):
         word = "0" * (25 * 24 // 2)
         code, _, err = run_cli(capsys, "decode", word, "--decoder", "mle")
@@ -256,6 +281,9 @@ class TestSimulateCmd:
             ["simulate", "--n", "99999999999999999999", "--eps", "0.1", "--trials", "5"],
             ["graph", "planar", "--n", "99999999999999999999"],
             ["graph", "hamming", "--n", "4"],
+            # a repeated n or decoder would print a row twice
+            ["simulate", "--n", "10,10", "--eps", "0.1", "--trials", "5"],
+            ["simulate", "--n", "4", "--eps", "0.1", "--trials", "5", "--decoder", "bp,bp"],
         ],
     )
     def test_usage_errors(self, capsys, argv):

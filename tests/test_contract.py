@@ -42,7 +42,6 @@ VALID = {
     "as_bits": dict(seq=WORD),
     "consecutive_indices": dict(n=3),
     "encode": dict(bits=WORD),
-    "index_pair": dict(k=1, n=3),
     "logical_from_consecutive": dict(c=[0, 1]),
     "num_logical": dict(k=3),
     "num_pairs": dict(n=3),
@@ -192,7 +191,6 @@ def _graph(graph):
 FIXED_WIDTH = {
     "num_pairs": lambda t: lhzcode.num_pairs(t(100)),
     "num_logical": lambda t: lhzcode.num_logical(t(120)),
-    "index_pair": lambda t: lhzcode.index_pair(t(120), t(100)),
     "pair_table": lambda t: lhzcode.pair_table(t(100))[-3:],
     "consecutive_indices": lambda t: lhzcode.consecutive_indices(t(100)).tolist(),
     "graph_for triangle": lambda t: _graph(graph_for("triangle", t(100))),

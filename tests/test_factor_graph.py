@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import time
 
 import numpy as np
@@ -188,6 +190,23 @@ class TestFactorGraph:
                 want = others if schedule == "belief" else [edge[u, ci] for u in others]
                 assert got == sorted(want + [n_src] * (w - 1 - len(others))), (schedule, v, k)
 
+    @pytest.mark.parametrize("build", [lambda: triangle_graph(5), lambda: FactorGraph(5, ((0, 1), (1, 2, 3)))],
+                             ids=["triangle5", "tuples"])
+    def test_partner_table_past_int32(self, monkeypatch, build):
+        # Edge indices, with the two pads, run to d_max * n_vars + 2. Past the
+        # int32 bound, here lowered, the table is refused with an LhzError.
+        graph = build()
+        _, d_max, nv = _bp_layout(graph, "belief").shape
+        monkeypatch.setattr(lhzcode.decoders, "_INT32_MAX", d_max * nv + 2)
+        for schedule in SCHEDULES:
+            assert _bp_layout(graph, schedule).shape[1:] == (d_max, nv)
+        monkeypatch.setattr(lhzcode.decoders, "_INT32_MAX", d_max * nv + 1)
+        for schedule in SCHEDULES:
+            with pytest.raises(CapacityError, match="int32"):
+                _bp_layout(graph, schedule)
+            with pytest.raises(CapacityError, match="int32"):
+                bp_decode(build(), np.full((nv, 2), 0.5), schedule=schedule)
+
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_one_table_per_schedule(self, monkeypatch, schedule):
         # Sizing a batch and decoding it build the cell's schedule's table
@@ -239,6 +258,22 @@ class TestFactorGraph:
                     arr[0] = 1
             with pytest.raises(AttributeError):
                 fg.n_vars = 3
+
+    @pytest.mark.parametrize("copy_of", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_are_read_only(self, copy_of):
+        # a copy is rebuilt through the constructors' own path, so a write
+        # cannot reach its arrays and change its checks
+        for fg in (FactorGraph(4, ((0, 1), (1, 2, 3))), triangle_graph(5)):
+            checks, dup = fg.checks, copy_of(fg)
+            assert dup is not fg and _same_arrays(dup, fg)
+            for arr in (dup.entries, dup.offsets):
+                assert arr.dtype == np.int32 and not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 7
+            assert dup.checks == checks
+            with pytest.raises(AttributeError):
+                dup.n_vars = 3
 
     def test_identity(self):
         # Graphs compare and hash by identity, and each constructor call

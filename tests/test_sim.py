@@ -201,6 +201,10 @@ class TestSimConfig:
             pytest.param(lambda: channel_prior(np.zeros(3, complex), NoiseModel(0.1)), id="channel_prior-complex"),
             # a complex object passes the 0/1 test, since 1+0j == 1
             pytest.param(lambda: as_bits(np.array([1 + 0j, 0, 1], dtype=object)), id="as_bits-complex-object"),
+            # a repeated n or decoder would key the same streams and print a row twice
+            pytest.param({"n_values": (10, 10)}, id="n_values-repeated"),
+            pytest.param({"n_values": (10, 4, np.int8(10))}, id="n_values-repeated-numpy"),
+            pytest.param({"decoders": ("bp", "majority", "bp")}, id="decoders-repeated"),
         ],
     )
     def test_rejects(self, kw):
@@ -210,6 +214,12 @@ class TestSimConfig:
         assert isinstance(exc.value, LhzError) and isinstance(exc.value, ValueError)
         # a type rule names the type it got apart from the one it wants
         assert not re.search(r"must be a (\S+), got \1$", str(exc.value)), exc.value
+
+    def test_repeated_eps_values_are_two_slots(self):
+        # each eps slot keys its own streams, so a repeated value is a second cell
+        sweep = run_sweep(SimConfig((5,), (0.2, 0.2), ("majority",), trials=300, seed=4))
+        assert sweep.rows == tuple(run_cell(5, 0.2, "majority", 300, 4, eps_index=i) for i in (0, 1))
+        assert sweep.rows[0].failures != sweep.rows[1].failures
 
 
 def _cell(n=5, trials=30, decoder="majority", eps=0.2, seed=9, all_zero=False):
@@ -519,16 +529,17 @@ class TestRunCell:
 
     def test_shared_noise_pairs_decoders(self, monkeypatch):
         seen = {}
-        decode = lhzcode.sim._decode_consecutive
+        draw = lhzcode.sim._draw_words
 
-        def recording(obs, *rest):
-            seen.setdefault(rest[0].decoders[0], []).append(obs.copy())
-            return decode(obs, *rest)
+        def recording(cell, *rest):
+            true, obs = draw(cell, *rest)
+            seen.setdefault(cell.decoders[0], []).append(obs.copy())
+            return true, obs
 
-        def words(decoder):  # every block the decoder saw, in trial order
+        def words(decoder):  # every block drawn for the decoder, in trial order
             return np.concatenate(seen.pop(decoder))
 
-        monkeypatch.setattr(lhzcode.sim, "_decode_consecutive", recording)
+        monkeypatch.setattr(lhzcode.sim, "_draw_words", recording)
         mle = run_cell(6, 0.2, "mle", 800, 3, shared_noise=True)
         maj = run_cell(6, 0.2, "majority", 800, 3, shared_noise=True)
         bp = run_cell(6, 0.2, "bp", 800, 3, shared_noise=True)
