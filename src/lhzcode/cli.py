@@ -19,9 +19,9 @@ from contextlib import nullcontext
 from dataclasses import fields
 
 from .channel import NoiseModel, channel_prior
-from .codes import as_bits, logical_from_consecutive, num_logical, pair_table
+from .codes import MAX_N, as_bits, logical_from_consecutive, num_logical, pair_table
 from .decoders import SCHEDULES, bp_decode, epsilon_star, majority_vote_decode, mle_decode
-from .errors import CapacityError, ConfigError, DimensionError, LhzError, check_count
+from .errors import CapacityError, ConfigError, DimensionError, LhzError, check_count, check_epsilon
 from .sim import DECODER_IDS, GRAPH_KINDS, SimConfig, SimResult, chernoff_bound, graph_for, run_sweep, union_bound
 
 __all__ = ["OUTPUT_COLUMNS", "main", "build_parser"]
@@ -66,10 +66,11 @@ def _numbers(parts, kind, text: str) -> tuple:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Either "8", "2,6,10", or an inclusive range "2..40"."""
+    """Either "8", "2,6,10", or an inclusive range "2..40", whose ends pass the
+    n rule before it is expanded, so no range asks for more than one n can index."""
     text = text.strip()
     if ".." in text:
-        lo, hi = _numbers(text.split("..", 1), int, text)
+        lo, hi = (check_count("n", v, 2, MAX_N) for v in _numbers(text.split("..", 1), int, text))
         if hi < lo:
             raise ConfigError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1))
@@ -95,11 +96,12 @@ def _open_out(path):
 
 
 def _check_out(path) -> None:
-    """Refuse, before any work is done, an --out path that is neither a writable
-    file nor a new name in a writable directory; _open_out reports the rest."""
+    """Refuse, before any work is done, an --out path that names no file ("" or
+    a trailing separator) or is neither a writable file nor a new name in a
+    writable directory; _open_out reports the rest."""
     parent = os.path.dirname(os.path.abspath(path))
     target = path if os.path.exists(path) else parent
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+    if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
         raise ConfigError(f"cannot write --out {path}: not a writable file")
 
 
@@ -234,7 +236,7 @@ def cmd_bound(args) -> int:
     # Every row is computed before any output, so a bad value prints nothing.
     ns, eps = _parse_int_list(args.n), _parse_float_list(args.eps)
     columns = ("n", "epsilon", "eps_star", "chernoff", "union_bound")
-    rows = [dict(zip(columns, (n, e, epsilon_star(e), chernoff_bound(n, e), union_bound(n, e))))
+    rows = [dict(zip(columns, (n, check_epsilon(e), epsilon_star(e), chernoff_bound(n, e), union_bound(n, e))))
             for n in ns for e in eps]
     with _open_out(args.out) as stream_:
         _emit(rows, columns, args.format, stream_)

@@ -16,7 +16,6 @@ at once as (trials, word) arrays; the Monte Carlo driver uses them directly.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,15 +194,14 @@ def _bp_layout(graph: FactorGraph, schedule: str) -> np.ndarray:
     return out.reshape(w - 1, d_max, nv)
 
 
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> {schedule: partner table}
-
-
 def _partners(graph: FactorGraph, schedule: str) -> np.ndarray:
-    """graph's partner table for schedule, built on first use; it goes when graph does."""
-    tables = _TABLES.setdefault(graph, {})
-    if schedule not in tables:
-        tables[schedule] = _bp_layout(graph, schedule)
-    return tables[schedule]
+    """graph's partner table for schedule, built on first use under the
+    graph's lock and kept on the graph, so threads that first decode one
+    graph at once build it once, and it goes when graph does."""
+    with graph._lock:
+        if schedule not in graph._tables:
+            graph._tables[schedule] = _bp_layout(graph, schedule)
+        return graph._tables[schedule]
 
 
 def _bp_rows(graph: FactorGraph, schedule: str) -> int:
@@ -491,9 +489,10 @@ def bp_decode(
 
     priors is the (n_vars, 2) channel belief table. observed supplies the
     tie-breaking word for hard decisions; by default it is the prior's own
-    hard reading (ties there fall to 0). A graph's partner table is built on
-    its first decode and kept as long as the graph lives, so reuse one graph
-    object across calls; sim.graph_for returns the one a caller still holds.
+    hard reading (ties there fall to 0). A graph's partner table is built
+    once, on its first decode, even when threads decode it at once, and the
+    graph keeps it as long as it lives, so reuse one graph object across
+    calls; sim.graph_for returns the one a caller still holds.
 
     Schedules:
       belief     checks read the current posterior beliefs of their other

@@ -46,10 +46,11 @@ def check_count(name: str, value, least=None, most=None) -> int:
 def check_epsilon(epsilon) -> float:
     """The one flip-probability rule: a real number, not a bool, in [0, 1/2].
     Returns the value as a Python float, which callers compute with: a numpy
-    float16 or float32 would keep its own precision in their arithmetic."""
+    float16 or float32 would keep its own precision in their arithmetic.
+    Adding 0.0 turns -0.0 into 0.0, so no output prints -0."""
     if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon <= 0.5:
         raise ConfigError(f"epsilon must be a real number in [0, 1/2], got {epsilon!r}")
-    return float(epsilon)
+    return float(epsilon) + 0.0
 
 
 def check_choice(name: str, value, options) -> None:

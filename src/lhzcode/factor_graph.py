@@ -12,6 +12,7 @@ pair indices as arrays and hand the arrays over as they are; the tuple view
 from __future__ import annotations
 
 import math
+import threading
 from functools import cached_property
 from itertools import chain
 
@@ -36,7 +37,9 @@ class FactorGraph:
     entries[offsets[c]:offsets[c + 1]]. checks is their tuple view, built on
     first access. Variable indices past int32 raise CapacityError. Graphs
     compare and hash by identity, and a pickled or deep-copied graph keeps
-    its arrays read-only.
+    its arrays read-only. A graph also holds the partner tables its decodes
+    built, one per schedule, and the lock they are built under, so a table
+    goes when its graph goes.
     """
 
     def __init__(self, n_vars: int, checks: tuple[tuple[int, ...], ...]):
@@ -54,17 +57,20 @@ class FactorGraph:
         self._adopt(n_vars, np.fromiter(chain.from_iterable(checks), np.int32, int(offsets[-1])), offsets)
 
     def _adopt(self, n_vars: int, entries: np.ndarray, offsets: np.ndarray) -> None:
-        """Make int32 entries and offsets, laid out as above, read-only and keep them."""
+        """Make int32 entries and offsets, laid out as above, read-only and keep
+        them, with no partner table yet and a lock of the graph's own."""
         entries.setflags(write=False)
         offsets.setflags(write=False)
-        for name, value in (("n_vars", n_vars), ("entries", entries), ("offsets", offsets)):
+        for name, value in (("n_vars", n_vars), ("entries", entries), ("offsets", offsets),
+                            ("_tables", {}), ("_lock", threading.Lock())):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FactorGraph is immutable: cannot set {name}")
 
     def __reduce__(self):
-        # pickle and copy.deepcopy rebuild a graph through _adopt, so a copy's arrays are read-only too
+        # pickle and copy.deepcopy rebuild a graph from its three arrays through _adopt, so a copy's
+        # arrays are read-only too, and it starts with no partner table and a new lock
         return _adopted, (self.n_vars, self.entries, self.offsets)
 
     @property

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import weakref
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +76,7 @@ DECODER_IDS = {"majority": 1, "bp": 2, "mle": 3}
 _GRAPHS = {"triangle": triangle_graph, "planar": planar_lhz_graph}
 GRAPH_KINDS = tuple(_GRAPHS)
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (kind, n) -> the graph someone holds
+_LIVE_LOCK = threading.Lock()  # one graph_for lookup or build at a time: _LIVE's setdefault is not atomic
 
 _SHARED_ID = 0          # decoder slot in the RNG key when noise is shared
 _BITS, _FLIPS = 0, 1    # purpose slot in the RNG key: logical bits, flips
@@ -207,8 +209,10 @@ def graph_for(kind: str, n: int) -> FactorGraph:
     answer."""
     check_choice("graph", kind, _GRAPHS)
     key = (kind, check_count("n", n, 2, MAX_N))
-    # Threads that miss at once may each build one; their graphs decode alike.
-    return _LIVE.get(key) or _LIVE.setdefault(key, _GRAPHS[kind](key[1]))
+    # Under the lock, threads that miss at once wait for the first one's build, so all callers
+    # share one graph and its tables.
+    with _LIVE_LOCK:
+        return _LIVE.get(key) or _LIVE.setdefault(key, _GRAPHS[kind](key[1]))
 
 
 def _streams(cell: SimConfig, eps_index: int) -> tuple[np.random.Generator, np.random.Generator]:

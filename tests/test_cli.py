@@ -284,6 +284,9 @@ class TestSimulateCmd:
             # a repeated n or decoder would print a row twice
             ["simulate", "--n", "10,10", "--eps", "0.1", "--trials", "5"],
             ["simulate", "--n", "4", "--eps", "0.1", "--trials", "5", "--decoder", "bp,bp"],
+            # a range's ends pass the n rule before it is expanded
+            ["simulate", "--n", "2..99999999999999999999", "--eps", "0.1", "--trials", "5"],
+            ["bound", "--n", "2..99999999999999999999", "--eps", "0.1"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -321,12 +324,21 @@ class TestBoundCmd:
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--trials", "5", "--seed", "1"], ["bound"]], ids=["simulate", "bound"])
+def test_negative_zero_epsilon_prints_as_zero(capsys, argv):
+    # -0.0 passes the epsilon rule as 0.0, so every column that shows it prints 0, not -0
+    for fmt in ("csv", "jsonl"):
+        zero = run_cli(capsys, *argv, "--n", "4", "--format", fmt, "--eps", "0")
+        assert run_cli(capsys, *argv, "--n", "4", "--format", fmt, "--eps", "-0.0") == zero
+        assert zero[0] == 0 and "-0" not in zero[1]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--trials", "5", "--seed", "1"], ["bound"]], ids=["simulate", "bound"])
 def test_unwritable_out(capsys, tmp_path, monkeypatch, argv):
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was checked")
 
     monkeypatch.setattr(lhzcode.cli, "run_sweep", sweep)
-    for path in (tmp_path / "missing" / "rows.csv", tmp_path):
+    for path in (tmp_path / "missing" / "rows.csv", tmp_path, "", f"{tmp_path / 'newdir'}{os.sep}"):
         code, out, err = run_cli(capsys, *argv, "--n", "4", "--eps", "0.1", "--out", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot write --out") and str(path) in err

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -38,6 +39,7 @@ from lhzcode import (
 import lhzcode.decoders
 import lhzcode.sim
 from lhzcode.decoders import _CLAMP, SCHEDULES, _bp_batch, _bp_buffers, _bp_rows, _majority_batch, _mle_batch
+from lhzcode.sim import graph_for
 
 from reference import (
     consecutive_bits,
@@ -358,6 +360,46 @@ def test_dropped_graph_frees_its_table(monkeypatch, schedule):
     tables.clear()
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["one-graph", "graph_for"])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_concurrent_first_decodes_build_one_table(monkeypatch, schedule, given):
+    # Eight threads make the first _partners call on one triangle n = 60 graph
+    # at once, with the interpreter switching threads as often as it can: on a
+    # graph they are all given, or on the one each takes from graph_for. The
+    # graph's lock lets one thread build the table, and all eight read that one.
+    layout, built = lhzcode.decoders._bp_layout, []
+
+    def spy(g, s):
+        built.append(g)
+        return layout(g, s)
+
+    monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            built.clear()
+            gc.collect()
+            assert ("triangle", 60) not in lhzcode.sim._LIVE  # each repetition's graph is a new one
+            graph, start, seen = triangle_graph(60) if given else None, threading.Barrier(8), []
+
+            def first_decode():
+                start.wait()
+                g = graph or graph_for("triangle", 60)
+                seen.append((g, lhzcode.decoders._partners(g, schedule)))
+
+            workers = [threading.Thread(target=first_decode) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+            assert len(seen) == 8 and built == [seen[0][0]]
+            assert all(g is seen[0][0] and table is seen[0][1] for g, table in seen)
+            del graph, seen
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

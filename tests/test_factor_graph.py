@@ -261,11 +261,29 @@ class TestFactorGraph:
 
     @pytest.mark.parametrize("copy_of", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
-    def test_copies_are_read_only(self, copy_of):
+    def test_copies_are_read_only(self, monkeypatch, copy_of):
         # a copy is rebuilt through the constructors' own path, so a write
-        # cannot reach its arrays and change its checks
+        # cannot reach its arrays and change its checks. A decoded graph's copy
+        # carries none of its partner tables: it builds its own, once, and
+        # decodes to the same bytes.
+        layout, built = lhzcode.decoders._bp_layout, []
+
+        def spy(g, s):
+            built.append(g)
+            return layout(g, s)
+
+        monkeypatch.setattr(lhzcode.decoders, "_bp_layout", spy)
         for fg in (FactorGraph(4, ((0, 1), (1, 2, 3))), triangle_graph(5)):
+            priors = np.tile([0.8, 0.2], (fg.n_vars, 1))
+            priors[0] = [0.3, 0.7]
+            decoded = bp_decode(fg, priors)
             checks, dup = fg.checks, copy_of(fg)
+            built.clear()
+            for _ in range(2):
+                again = bp_decode(dup, priors)
+                assert (again.word.tobytes(), again.beliefs.tobytes()) == (decoded.word.tobytes(),
+                                                                           decoded.beliefs.tobytes())
+            assert built == [dup]
             assert dup is not fg and _same_arrays(dup, fg)
             for arr in (dup.entries, dup.offsets):
                 assert arr.dtype == np.int32 and not arr.flags.writeable

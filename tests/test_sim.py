@@ -568,9 +568,12 @@ class TestRunCell:
         with pytest.raises(CapacityError, match="planar graph at n=2899"):
             run_cell(2899, 0.1, "bp", 1, 1, graph="planar")
 
-    def test_graph_for_across_threads(self):
-        # Threads asking for one (kind, n) at once get alike graphs, mostly one
-        # object, and once they let go no graph stays behind.
+    def test_graph_for_across_threads(self, monkeypatch):
+        # Threads asking for one (kind, n) at once wait for the first one's
+        # build, so the graph is built once and all get that one object, and
+        # once they let go no graph stays behind.
+        build, built = lhzcode.sim._GRAPHS["triangle"], []
+        monkeypatch.setitem(lhzcode.sim._GRAPHS, "triangle", lambda n: built.append(n) or build(n))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -578,8 +581,8 @@ class TestRunCell:
                 graphs = list(pool.map(lambda _: graph_for("triangle", 14), range(64), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert len(graphs) == 64 and len({id(g) for g in graphs}) <= 8
-        assert all(np.array_equal(g.entries, graphs[0].entries) for g in graphs)
+        assert len(graphs) == 64 and built == [14]
+        assert all(g is graphs[0] for g in graphs)
         del graphs
         gc.collect()
         assert ("triangle", 14) not in lhzcode.sim._LIVE
@@ -672,7 +675,7 @@ class TestRunSweep:
         assert texts[0] == "the triangle graph at n=324 has 16848972 edges, past the 16777216-edge limit"
         assert sweep.errors == tuple(CellError("bp", n, eps, t) for n, t in zip((324, 1000), texts) for eps in (0.1, 0.2))
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_one_partner_table_per_group(self, monkeypatch, schedule, threads):
         # A bp group holds its graph while its eps cells run, so each cell's
