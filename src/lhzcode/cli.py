@@ -1,7 +1,8 @@
 """Command line front end: graph inspection, one-shot decoding, sweeps, bounds.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags or values) and when
-stdout is closed before all output is written (e.g. piped into head), 2 when
+Exit codes: 0 on success, 1 on usage errors (bad flags or values), when
+stdout is closed before all output is written (e.g. piped into head) and
+when a write fails (e.g. a full disk, with an error line), 2 when
 work is refused on capacity grounds (a search or a constraint graph too
 large). Output rows have a fixed column order and %.6g float formatting, so
 identical invocations give identical bytes and --threads never changes them.
@@ -257,9 +258,12 @@ def main(argv=None) -> int:
     except LhzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # The reader went away. As the Python docs advise for SIGPIPE, point
-        # stdout at devnull so the interpreter's last flush cannot fail again.
+    except OSError as exc:
+        # A write failed: the reader went away, which needs no message, or the
+        # disk is full. As the Python docs advise for SIGPIPE, point stdout at
+        # devnull so the interpreter's last flush cannot fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

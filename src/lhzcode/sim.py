@@ -24,9 +24,11 @@ of message-passing buffers (decoders._bp_buffers) for that batch, which every
 batch of the cell, the shorter last one included, reuses. Its priors come
 from the channel's one prior rule.
 
-run_sweep runs one (decoder, n) group at a time on each worker, and a bp
-group holds its graph while its eps cells run, so graph_for hands each cell
-that graph and its partner table. No table outlives its last user.
+run_sweep runs one (decoder, n) group at a time, on the calling thread, and
+spreads only the group's eps cells over its worker threads. A bp group holds
+its graph, with its partner table built, while its eps cells run, so
+graph_for hands each cell that graph and table. No table outlives its last
+user.
 """
 
 from __future__ import annotations
@@ -335,12 +337,14 @@ def run_cell(
 def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     """Run every cell of the sweep, in (decoder, n, epsilon) row order.
 
-    Each (decoder, n) group runs its eps cells in row order on one worker. A
-    bp group holds its constraint graph until it returns, so the graph and its
-    partner table are built once per group, and a worker holds one group's
-    graph at a time. Groups are independent, so they may be farmed out to
-    worker threads, at most one per group and per CPU; results are collected
-    back in the deterministic row order either way.
+    The (decoder, n) groups run one after another on the calling thread, each
+    inside its own call, so a sweep holds one group's graph at a time. A bp
+    group takes its constraint graph from graph_for and builds its partner
+    table before any cell starts, so every cell's graph_for returns that
+    graph and table. The group's eps cells are independent, so they are
+    spread over one pool of worker threads, at most one per eps cell and per
+    CPU, and collected back in row order; with one worker they run on the
+    calling thread, which starts no thread.
     A cell refused on capacity grounds (search or graph size) yields a
     CellError instead of aborting the sweep. Those limits depend on the
     decoder and n alone, so a refusal covers each eps cell of its group.
@@ -349,22 +353,20 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
     threads = check_count("threads", threads, 1)
     # Past the three sweep axes, SimConfig's fields are run_cell's keywords.
     settings = {f.name: getattr(config, f.name) for f in fields(SimConfig)[3:]}
-    groups = [(dec, n) for dec in config.decoders for n in config.n_values]
+    workers = min(threads, len(config.eps_values), os.cpu_count() or 1)
 
-    def run_group(group):
-        dec, n = group
+    def run_group(cells_map, dec, n):
         try:
-            graph = graph_for(config.graph, n) if dec == "bp" else None  # each cell's graph_for returns it
-            return [run_cell(n, eps, dec, eps_index=ei, **settings) for ei, eps in enumerate(config.eps_values)]
+            if dec == "bp":  # the group holds its graph until it returns, and builds its table before any cell
+                graph = graph_for(config.graph, n)
+                _bp_rows(graph, config.schedule)
+            return list(cells_map(lambda ei, eps: run_cell(n, eps, dec, eps_index=ei, **settings),
+                                  range(len(config.eps_values)), config.eps_values))
         except CapacityError as exc:
             return [CellError(decoder=dec, n=n, epsilon=eps, message=str(exc)) for eps in config.eps_values]
 
-    workers = min(threads, len(groups), os.cpu_count() or 1) if threads > 1 else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for group in pool.map(run_group, groups) for o in group]
-    else:
-        outcomes = [o for group in groups for o in run_group(group)]
-    rows = tuple(o for o in outcomes if isinstance(o, SimResult))
-    errors = tuple(o for o in outcomes if isinstance(o, CellError))
-    return SweepResult(rows=rows, errors=errors)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # it starts no thread before its map is called
+        cells_map = pool.map if workers > 1 else map  # one worker: the cells run on the calling thread
+        outcomes = [o for dec in config.decoders for n in config.n_values for o in run_group(cells_map, dec, n)]
+    return SweepResult(rows=tuple(o for o in outcomes if isinstance(o, SimResult)),
+                       errors=tuple(o for o in outcomes if isinstance(o, CellError)))

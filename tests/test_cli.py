@@ -386,6 +386,23 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "4", "--eps", "0.1"],
+        ["graph", "triangle", "--n", "4"],
+        ["simulate", "--n", "4", "--eps", "0.1", "--trials", "10", "--seed", "1", "--out", "/dev/full"],
+    ], ids=["bound", "graph", "simulate-out"])
+    def test_failed_write_exits_1_with_an_error_line(self, argv):
+        # Every write to /dev/full fails with ENOSPC: at stdout's flush, or
+        # when the --out file is closed.
+        env = dict(os.environ, PYTHONPATH=str(Path(lhzcode.cli.__file__).resolve().parents[1]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "lhzcode.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"error: cannot write output: ")
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr, proc.stderr
+
 
 def test_output_columns_pinned():
     # SimResult's compared fields, in order; its compare=False extras stay out

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -624,7 +625,7 @@ class TestRunSweep:
         assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=8)
 
     def test_threads_capped(self, monkeypatch):
-        # a serial stand-in records the pool size run_sweep asks for
+        # a serial stand-in records the pool size run_sweep asks for, one pool per sweep
         sizes = []
 
         class Recorder:
@@ -641,15 +642,63 @@ class TestRunSweep:
 
         monkeypatch.setattr(lhzcode.sim, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        # six cells in three (decoder, n) groups: one worker per group at most
+        # three (decoder, n) groups of two eps cells each: one worker per eps cell at most
         cfg = SimConfig(n_values=(3, 4, 5), eps_values=(0.1, 0.2), decoders=("majority",), trials=10, seed=2)
         assert run_sweep(cfg, threads=10**6) == run_sweep(cfg)
-        assert sizes == [3]
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        run_sweep(cfg, threads=10**6)
-        assert sizes == [3, 2]
+        assert sizes == [2, 1]
+        # three eps cells, at most as many workers as asked for
+        wide = SimConfig(n_values=(3, 4), eps_values=(0.1, 0.2, 0.3), decoders=("majority",), trials=10, seed=2)
+        assert run_sweep(wide, threads=2) == run_sweep(wide, threads=10**6) == run_sweep(wide)
+        assert sizes == [2, 1, 2, 3, 1]
+        # and one per CPU, or one when the CPU count is unknown
+        for cpus, want in ((2, 2), (1, 1), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_sweep(wide, threads=10**6)
+            assert sizes[-1] == want
         with pytest.raises(ConfigError):
             run_sweep(cfg, threads=0)
+
+    def test_group_cells_run_at_once(self, monkeypatch):
+        # A group's two eps cells each wait for the other inside run_cell, so
+        # the sweep ends only if they run on two threads at once.
+        cfg = SimConfig((9,), (0.05, 0.1), ("bp",), trials=40)
+        serial = run_sweep(cfg)
+        cell, both = lhzcode.sim.run_cell, threading.Barrier(2, timeout=10)
+
+        def spy(*args, **kwargs):
+            both.wait()
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(lhzcode.sim, "run_cell", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert run_sweep(cfg, threads=2) == serial
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # One eps cell, or threads=1, makes one worker, and the cells run on
+        # the calling thread.
+        cell, seen = lhzcode.sim.run_cell, []
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(lhzcode.sim, "run_cell", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        run_sweep(SimConfig((4, 6), (0.1,), ("majority", "bp"), trials=20), threads=8)
+        run_sweep(SimConfig((4,), (0.1, 0.2), ("bp",), trials=20), threads=1)
+        assert seen == [threading.get_ident()] * 6
+
+    def test_one_graph_at_a_time(self, monkeypatch):
+        # Each group lets go of its graph before the next group builds one,
+        # however many threads the sweep may use.
+        build, held = lhzcode.sim._GRAPHS["triangle"], []
+        monkeypatch.setitem(lhzcode.sim._GRAPHS, "triangle",
+                            lambda n: held.append(len(lhzcode.sim._LIVE)) or build(n))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        gc.collect()
+        cfg = SimConfig((7, 11, 15), (0.05, 0.1), ("bp",), trials=20, seed=3)
+        assert run_sweep(cfg, threads=8) == run_sweep(cfg)
+        assert held == [0, 0, 0] * 2
 
     def test_capacity_errors_collected(self):
         # Each refused (decoder, n) group yields one CellError per eps cell, in
@@ -674,6 +723,14 @@ class TestRunSweep:
         texts = [refusal(324, "bp"), refusal(1000, "bp")]
         assert texts[0] == "the triangle graph at n=324 has 16848972 edges, past the 16777216-edge limit"
         assert sweep.errors == tuple(CellError("bp", n, eps, t) for n, t in zip((324, 1000), texts) for eps in (0.1, 0.2))
+
+    def test_capacity_errors_collected_across_threads(self, monkeypatch):
+        # Refusals raised on worker threads give the same CellErrors, in row order.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for config in (SimConfig((4, 30), (0.1, 0.2), ("mle", "bp"), trials=20, seed=1),
+                       SimConfig((4, 324), (0.1, 0.2), ("bp",), trials=20, seed=1)):
+            threaded = run_sweep(config, threads=2)
+            assert threaded == run_sweep(config) and len(threaded.errors) == 2
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("schedule", SCHEDULES)
