@@ -107,6 +107,21 @@ def _check_out(path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A flag two subcommands share is declared once, in a parent parser, and a
+    # default the library holds too is read from SimConfig.
+    default = {f.name: f.default for f in fields(SimConfig)}
+    cell = argparse.ArgumentParser(add_help=False)  # decode's and simulate's cell settings
+    cell.add_argument("--graph", choices=GRAPH_KINDS, default=default["graph"])
+    cell.add_argument("--iterations", dest="bp_iterations", metavar="ITERATIONS", type=int,
+                      default=default["bp_iterations"])
+    cell.add_argument("--schedule", choices=SCHEDULES, default=default["schedule"])
+    cell.add_argument("--include-direct", action="store_true", help="count the observed bit as a vote")
+    grid = argparse.ArgumentParser(add_help=False)  # simulate's and bound's sweep axes and output
+    grid.add_argument("--n", required=True, help='logical sizes: "8", "2,6,10", or "2..40"')
+    grid.add_argument("--eps", required=True, help="flip probabilities, comma separated")
+    grid.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    grid.add_argument("--out", help="write rows here instead of stdout")
+
     p = _Parser(prog="lhzcode", description="pairwise-parity code toolkit")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
@@ -116,39 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=("text", "json"), default="text")
     g.set_defaults(func=cmd_graph)
 
-    d = sub.add_parser("decode", help="decode one observed word")
+    d = sub.add_parser("decode", parents=[cell], help="decode one observed word")
     d.add_argument("word", help="observed physical word as a bit string")
-    d.add_argument("--decoder", choices=sorted(DECODER_IDS), default="bp")
+    d.add_argument("--decoder", choices=sorted(DECODER_IDS), default=default["decoders"][0])
     d.add_argument("--eps", type=float, default=0.1, help="channel flip probability")
     d.add_argument("--n", type=int, help="logical size, checked against the word length")
-    d.add_argument("--graph", choices=GRAPH_KINDS, default="triangle")
-    d.add_argument("--iterations", type=int, default=5)
-    d.add_argument("--schedule", choices=SCHEDULES, default="belief")
-    d.add_argument("--include-direct", action="store_true", help="count the observed bit as a vote")
     d.set_defaults(func=cmd_decode)
 
-    s = sub.add_parser("simulate", help="Monte Carlo failure-rate sweep")
-    s.add_argument("--n", required=True, help='logical sizes: "8", "2,6,10", or "2..40"')
-    s.add_argument("--eps", required=True, help='flip probabilities, comma separated')
-    s.add_argument("--decoder", default="bp", help="comma separated subset of majority,bp,mle")
-    s.add_argument("--trials", type=int, default=5000)
+    s = sub.add_parser("simulate", parents=[grid, cell], help="Monte Carlo failure-rate sweep")
+    s.add_argument("--decoder", default=default["decoders"][0], help="comma separated subset of majority,bp,mle")
+    s.add_argument("--trials", type=int, default=default["trials"])
     s.add_argument("--seed", type=int, default=None, help="omit for a fresh random seed (echoed on stderr)")
-    s.add_argument("--graph", choices=GRAPH_KINDS, default="triangle")
-    s.add_argument("--iterations", type=int, default=5)
-    s.add_argument("--schedule", choices=SCHEDULES, default="belief")
-    s.add_argument("--include-direct", action="store_true")
     s.add_argument("--all-zero", action="store_true", help="send the all-zero logical word instead of random ones")
     s.add_argument("--shared-noise", action="store_true", help="same noise for every decoder")
     s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    s.add_argument("--out", help="write rows here instead of stdout")
     s.set_defaults(func=cmd_simulate)
 
-    b = sub.add_parser("bound", help="analytic failure bounds")
-    b.add_argument("--n", required=True, help='logical sizes: "8", "2,6,10", or "2..40"')
-    b.add_argument("--eps", required=True, help="flip probabilities, comma separated")
-    b.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    b.add_argument("--out", help="write rows here instead of stdout")
+    b = sub.add_parser("bound", parents=[grid], help="analytic failure bounds")
     b.set_defaults(func=cmd_bound)
 
     return p
@@ -186,7 +185,7 @@ def cmd_decode(args) -> int:
         out = mle_decode(word, model)
     else:
         fg = graph_for(args.graph, n)
-        out = bp_decode(fg, channel_prior(word, model), iterations=args.iterations,
+        out = bp_decode(fg, channel_prior(word, model), iterations=args.bp_iterations,
                         schedule=args.schedule, observed=word)
     print(f"decoder: {args.decoder}")
     print(f"n: {n}")
@@ -206,19 +205,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        n_values=_parse_int_list(args.n),
-        eps_values=_parse_float_list(args.eps),
-        decoders=tuple(args.decoder.split(",")),
-        trials=args.trials,
-        seed=secrets.randbits(63) if args.seed is None else args.seed,
-        graph=args.graph,
-        bp_iterations=args.iterations,
-        schedule=args.schedule,
-        include_direct=args.include_direct,
-        all_zero=args.all_zero,
-        shared_noise=args.shared_noise,
-    )
+    # Past the three sweep axes, each SimConfig field is the flag of the same
+    # name, the rule run_sweep reads run_cell's settings by.
+    settings = {f.name: getattr(args, f.name) for f in fields(SimConfig)[3:]}
+    if args.seed is None:
+        settings["seed"] = secrets.randbits(63)
+    config = SimConfig(_parse_int_list(args.n), _parse_float_list(args.eps), tuple(args.decoder.split(",")), **settings)
     threads = check_count("threads", args.threads, 1)
     if args.out is not None:
         _check_out(args.out)

@@ -637,7 +637,10 @@ def mle_decode(g_obs, model: NoiseModel) -> DecodeOutcome:
     Hamming distance; distance ties resolve to the lexicographically
     smallest gauge-fixed logical word. At epsilon = 1/2 every candidate
     is equally likely, so the all-zero word is returned with the
-    degenerate flag set, at any n, since nothing is searched.
+    degenerate flag set, at any n, since nothing is searched. A sim.run_cell
+    mle cell searches there too, so its counts differ from this decoder's
+    at 1/2 (98 failures against 100 at n = 7, 100 trials, seed 3), and it
+    refuses past n = MLE_MAX_LOGICAL as at any other epsilon.
     """
     check_type("model", model, NoiseModel)
     g = as_bits(g_obs)

@@ -54,6 +54,7 @@ from .decoders import (
     _majority_batch,
     _majority_tables,
     _mle_batch,
+    _partners,
     epsilon_star,
 )
 from .errors import CapacityError, ConfigError, check_choice, check_count, check_epsilon, check_type
@@ -299,7 +300,10 @@ def run_cell(
     before any trial runs, and a constraint graph past its size limit
     raises CapacityError before anything is built. _cell_decoder then
     sizes the blocks and makes their decoder once for the cell, and each
-    block is drawn, decoded and scored on the consecutive pairs.
+    block is drawn, decoded and scored on the consecutive pairs. An mle
+    cell runs the search at every epsilon, 1/2 included, where mle_decode
+    returns the degenerate all-zero word instead; so at 1/2 its counts
+    differ from mle_decode's, and past n = 24 it is refused there too.
     """
     cell = SimConfig((n,), (epsilon,), (decoder,), trials, seed, graph=graph, bp_iterations=bp_iterations,
                      schedule=schedule, include_direct=include_direct, all_zero=all_zero, shared_noise=shared_noise)
@@ -359,7 +363,7 @@ def run_sweep(config: SimConfig, threads: int = 1) -> SweepResult:
         try:
             if dec == "bp":  # the group holds its graph until it returns, and builds its table before any cell
                 graph = graph_for(config.graph, n)
-                _bp_rows(graph, config.schedule)
+                _partners(graph, config.schedule)
             return list(cells_map(lambda ei, eps: run_cell(n, eps, dec, eps_index=ei, **settings),
                                   range(len(config.eps_values)), config.eps_values))
         except CapacityError as exc:

@@ -411,15 +411,17 @@ def test_output_columns_pinned():
 
 
 def test_defaults_agree():
-    # The settings defaults are written in SimConfig, run_cell, bp_decode and
-    # the simulate and decode parsers; they must be one set.
+    # The settings defaults are written in SimConfig, run_cell and bp_decode,
+    # and the simulate and decode parsers read theirs from SimConfig; what each
+    # parses must be that one set.
     config = {f.name: f.default for f in dataclasses.fields(SimConfig)}
     cell = {name: p.default for name, p in inspect.signature(run_cell).parameters.items()}
     bp = {name: p.default for name, p in inspect.signature(bp_decode).parameters.items()}
     simulate = vars(build_parser().parse_args(["simulate", "--n", "4", "--eps", "0.1"]))
     decode = vars(build_parser().parse_args(["decode", "011"]))
     assert simulate["trials"] == config["trials"]
-    assert simulate["iterations"] == decode["iterations"] == cell["bp_iterations"] == bp["iterations"] == config["bp_iterations"]
+    assert (simulate["bp_iterations"] == decode["bp_iterations"] == cell["bp_iterations"] == bp["iterations"]
+            == config["bp_iterations"])
     assert simulate["schedule"] == decode["schedule"] == cell["schedule"] == bp["schedule"] == config["schedule"]
     assert simulate["graph"] == decode["graph"] == cell["graph"] == config["graph"]
     assert simulate["include_direct"] == decode["include_direct"] == cell["include_direct"] == config["include_direct"]

@@ -599,6 +599,47 @@ class TestRunCell:
         assert 0 < r.failures < 0.2 * r.trials
 
 
+def _one_word(cell):
+    """The one-word decoder of a one-cell config, word -> DecodeOutcome."""
+    (n,), (eps,), (decoder,) = cell.n_values, cell.eps_values, cell.decoders
+    if decoder == "majority":
+        return lambda w: majority_vote_decode(w, include_direct=cell.include_direct)
+    if decoder == "mle":
+        return lambda w: mle_decode(w, NoiseModel(eps))
+    fg = graph_for(cell.graph, n)
+    return lambda w: bp_decode(fg, channel_prior(w, NoiseModel(eps)), iterations=cell.bp_iterations,
+                               schedule=cell.schedule, observed=w)
+
+
+class TestCellsMatchOneWordDecoders:
+    # Each batch kernel against its one-word decoder over a whole cell: the
+    # cell's observed words, redrawn from its streams and decoded one at a
+    # time, give run_cell's failure counts. mle at eps = 1/2 is left out:
+    # mle_decode returns the degenerate all-zero word there, while a cell's
+    # blocks still run the search.
+    @pytest.mark.parametrize("decoder,n,eps,eps_index,kw", [
+        ("majority", 10, 0.2, 0, {}),  # ties among the 8 votes fall to the observed bit
+        ("majority", 9, 0.2, 2, {"include_direct": True}),  # the direct vote matters where n - 2 is odd
+        ("majority", 11, 0.25, 0, {"include_direct": True, "all_zero": True}),
+        ("mle", 8, 0.15, 0, {"shared_noise": True}),
+        ("mle", 10, 0.2, 1, {"all_zero": True}),
+        ("bp", 7, 0.2, 0, {}),
+        ("bp", 8, 0.2, 0, {"schedule": "extrinsic", "bp_iterations": 3, "shared_noise": True}),
+        ("bp", 9, 0.15, 3, {"graph": "planar"}),
+        ("bp", 10, 0.15, 0, {"graph": "planar", "schedule": "extrinsic", "all_zero": True}),
+    ])
+    def test_failures_match(self, decoder, n, eps, eps_index, kw):
+        cell = SimConfig((n,), (eps,), (decoder,), 60, 17, **kw)
+        got = run_cell(n, eps, decoder, cell.trials, cell.seed, eps_index=eps_index, **kw)
+        true, obs = _draw_words(cell, _streams(cell, eps_index), cell.trials)
+        decode = _one_word(cell)
+        decoded = np.array([decode(w).consecutive for w in obs])
+        true = true[:, consecutive_indices(n)]
+        failures = int((decoded != true).any(axis=1).sum())
+        assert 0 < failures < cell.trials  # a cell where the counts say something
+        assert (got.failures, got.pair_failures) == (failures, int((decoded[:, 0] != true[:, 0]).sum()))
+
+
 class TestRunSweep:
     def test_row_order_and_content(self):
         cfg = SimConfig(
